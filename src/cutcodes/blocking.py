@@ -29,6 +29,8 @@ from .errors import (
 from .functions import FunctionSpec, scalar_compatible, zero_set
 from .geometry import PointSet, RowReducer, Space, SubspaceBasis
 
+DEFAULT_OP_BUDGET = 4 * 10**9
+
 _GENERIC_POINT_CAP = 1 << 24
 
 
@@ -361,8 +363,20 @@ class TheoremReport:
         }
 
 
+def require_hypothesis_budget(space: Space, op_budget: int = DEFAULT_OP_BUDGET):
+    """Refuse, before any work, a hypothesis scan over space beyond op_budget."""
+    if space.n < 2:
+        raise DimensionOutOfRange("theorem checks need ambient dimension >= 2")
+    hyperplanes = space.subspace_count(space.n - 1)
+    cost = space.size * space.size + 3 * hyperplanes * space.size * space.n
+    if cost > op_budget:
+        raise BudgetExceeded(
+            f"hypothesis scan needs about {cost:.2e} ops, budget {op_budget:.2e}"
+        )
+
+
 def theorem_hypotheses(
-    f: FunctionSpec, mode: str = "affine", op_budget: int = 4 * 10**9
+    f: FunctionSpec, mode: str = "affine", op_budget: int = DEFAULT_OP_BUDGET
 ) -> TheoremReport:
     """Check the sufficient conditions for minimality of the built code.
 
@@ -373,14 +387,7 @@ def theorem_hypotheses(
     needs a scalar-compatible f.
     """
     space = f.space
-    if space.n < 2:
-        raise DimensionOutOfRange("theorem checks need ambient dimension >= 2")
-    hyperplanes = space.subspace_count(space.n - 1)
-    cost = space.size * space.size + 3 * hyperplanes * space.size * space.n
-    if cost > op_budget:
-        raise BudgetExceeded(
-            f"hypothesis scan needs about {cost:.2e} ops, budget {op_budget:.2e}"
-        )
+    require_hypothesis_budget(space, op_budget)
     if mode == "affine":
         pset = zero_set(f, "affine_star")
         flavor = "vectorial"

@@ -16,11 +16,8 @@ _DENSE_LIMIT = 1024
 
 
 def _dtype_for(q: int):
-    if q <= 256:
-        return np.uint8
-    if q <= 1 << 16:
-        return np.uint16
-    return np.uint32
+    # Field refuses orders above 2^16
+    return np.uint8 if q <= 256 else np.uint16
 
 
 class FieldOps:

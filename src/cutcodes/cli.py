@@ -19,6 +19,7 @@ from typing import Optional
 
 from .blocking import blocking_report
 from .codes import (
+    METHOD_ROUTES,
     Config,
     LinearCode,
     ab_check,
@@ -26,6 +27,7 @@ from .codes import (
     build_projective_code,
     is_minimal,
     load_generator_matrix,
+    require_budgets,
     survey_family,
     weight_distribution,
     write_generator_matrix,
@@ -214,6 +216,7 @@ def cmd_analyze(args) -> int:
     code = _resolve_code(args, cfg)
     if args.minimality == "theorem" and code.function is None:
         raise UsageError("--minimality theorem needs a function-built code, not --matrix")
+    require_budgets(code, ("weights", *METHOD_ROUTES[args.minimality]), cfg)
     weights = weight_distribution(code, cfg)
     ab = ab_check(code, cfg)
     report = is_minimal(code, args.minimality, cfg)

@@ -7,11 +7,15 @@ f evaluations (row 0) followed by the n coordinate forms, so for
 full-rank codes the message digits are exactly (u, v_1, ..., v_n) with u
 least significant in the message index.
 
-Minimality has three independent routes: brute-force support containment
-over scalar classes, the weight-sum criterion (kept as a literal sum, not
-reduced to set containment), and the blocking-set theorem certificate.
-Enumerative routes are budget-gated and fail loudly instead of degrading
-silently.
+Every enumerative route reads one class table per code, filled by a single
+pass over the scalar-class representatives: their weights, packed
+supports and messages. Minimality has three independent routes:
+brute-force support containment over scalar classes, the weight-sum
+criterion (kept as a literal sum, not reduced to set containment; each
+weight wt(c' - a*c) is looked up by the message m' - a*m, not recomputed
+over the full length), and the blocking-set theorem certificate.
+Enumerative routes are budget-gated, checked before any work, and fail
+loudly instead of degrading silently.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocking import theorem_hypotheses
+from .blocking import require_hypothesis_budget, theorem_hypotheses
 from .bulk import FieldOps, ops_for
 from .errors import (
     BudgetExceeded,
@@ -47,6 +51,7 @@ DEFAULT_PAIR_BUDGET = 10**10
 DEFAULT_WEIGHT_BUDGET = 10**9
 DEFAULT_POINT_CAP = 10**7
 _BLOCK_ELEMS = 1 << 26
+_SCAN_ELEMS = 1 << 14  # message digits per weight-sum block
 
 
 @dataclass
@@ -58,9 +63,40 @@ class Config:
     point_cap: int = DEFAULT_POINT_CAP
 
 
-def _require_budget(cost: int, budget: int, what: str):
-    if cost > budget:
-        raise BudgetExceeded(f"{what} needs about {cost:.2e} ops, budget {budget:.2e}")
+# enumerative routes: (name in refusals, Config field, cost in elementwise
+# ops from the class count R, the length and q)
+_ROUTES = {
+    "weights": ("weight distribution", "weight_budget", lambda R, n, q: R * n),
+    "brute": ("brute-force scan", "pair_budget", lambda R, n, q: R * (R - 1) * n),
+    "weightsum": ("weight-sum scan", "pair_budget", lambda R, n, q: R * (R - 1) * (q - 1) * n),
+    "minimal-words": ("minimal-word scan", "pair_budget", lambda R, n, q: R * (R - 1) * n),
+}
+
+# the budgeted routes behind each is_minimal method
+METHOD_ROUTES = {
+    "brute": ("brute",),
+    "weightsum": ("weightsum",),
+    "both": ("brute", "weightsum"),
+    "theorem": ("theorem",),
+}
+
+
+def require_budgets(code: LinearCode, routes, config: Optional[Config] = None):
+    """Refuse, before any work, the first route in order that is over budget.
+
+    The theorem route checks the hypothesis-scan budget of the code's function.
+    """
+    cfg = config or Config()
+    for route in routes:
+        if route == "theorem":
+            if code.function is not None:
+                require_hypothesis_budget(code.function.space)
+            continue
+        what, key, cost_of = _ROUTES[route]
+        cost = cost_of(code.num_classes, code.length, code.field.q)
+        budget = getattr(cfg, key)
+        if cost > budget:
+            raise BudgetExceeded(f"{what} needs about {cost:.2e} ops, budget {budget:.2e}")
 
 
 class LinearCode:
@@ -95,6 +131,7 @@ class LinearCode:
         self.basis_indices = _independent_rows(self.ops, self.rows)
         self.basis = self.rows[self.basis_indices]
         self.dim = len(self.basis_indices)
+        self._classes = None  # ClassTable, filled on first use
         if mode != "raw" and ambient_n is not None and self.dim < ambient_n + 1:
             warnings.warn(
                 f"code dimension {self.dim} below {ambient_n + 1}: "
@@ -221,17 +258,24 @@ def build_projective_code(f: FunctionSpec, config: Optional[Config] = None) -> L
 # enumerated by leading position t, then by the integer g formed by the
 # digits above t (digit t+1 least significant). Every nonzero codeword is
 # a unique nonzero multiple of exactly one representative.
-def _class_message(dim: int, q: int, t: int, g: int) -> tuple:
-    m = [0] * dim
-    m[t] = 1
-    for j in range(t + 1, dim):
-        m[j] = g % q
-        g //= q
-    return tuple(m)
+def _class_messages(dim: int, q: int, dtype) -> np.ndarray:
+    """The R x dim message digits of every class representative, in order."""
+    msgs = np.zeros(((q**dim - 1) // (q - 1), dim), dtype=dtype)
+    row = 0
+    for t in range(dim):
+        count = q ** (dim - 1 - t)
+        block = msgs[row : row + count]
+        block[:, t] = 1
+        g = np.arange(count)
+        for j in range(t + 1, dim):
+            block[:, j] = g % q
+            g //= q
+        row += count
+    return msgs
 
 
 def _doubling_blocks(lead: np.ndarray, tail, ops: FieldOps, q: int, cap: int):
-    """(g0, words) blocks of lead + span(tail) combos, ascending g."""
+    """Blocks of lead + span(tail) combos, ascending g."""
     total = q ** len(tail)
     if total * lead.size <= cap:
         words = lead[None, :]
@@ -240,36 +284,56 @@ def _doubling_blocks(lead: np.ndarray, tail, ops: FieldOps, q: int, cap: int):
             for lam in range(1, q):
                 layers.append(ops.add(words, ops.mul_scalar(lam, row)[None, :]))
             words = np.concatenate(layers, axis=0)
-        yield 0, words
+        yield words
         return
     last = tail[-1]
-    stride = q ** (len(tail) - 1)
     for lam in range(q):
         shifted = lead if lam == 0 else ops.add(lead, ops.mul_scalar(lam, last))
-        for g0, words in _doubling_blocks(shifted, tail[:-1], ops, q, cap):
-            yield lam * stride + g0, words
+        yield from _doubling_blocks(shifted, tail[:-1], ops, q, cap)
 
 
 def _class_blocks(code: LinearCode):
-    """Yield (t, g0, words) over all class representatives in canonical order."""
+    """Yield word blocks over all class representatives in canonical order."""
     q = code.field.q
     basis = code.basis
     for t in range(code.dim):
         tail = [basis[j] for j in range(t + 1, code.dim)]
-        for g0, words in _doubling_blocks(basis[t], tail, code.ops, q, _BLOCK_ELEMS):
-            yield t, g0, words
+        yield from _doubling_blocks(basis[t], tail, code.ops, q, _BLOCK_ELEMS)
+
+
+@dataclass
+class ClassTable:
+    """Every class representative in canonical order: its weight, its
+    support as an int (bit j for coordinate j) and its message digits."""
+
+    weights: np.ndarray
+    supports: list
+    messages: np.ndarray
+
+
+def _class_table(code: LinearCode) -> ClassTable:
+    """The code's class table, built by one enumeration pass on first use."""
+    if code._classes is None:
+        weights = np.empty(code.num_classes, dtype=np.int64)
+        supports = []
+        for words in _class_blocks(code):
+            nz = words != 0
+            weights[len(supports) : len(supports) + len(nz)] = nz.sum(axis=1)
+            packed = np.packbits(nz, axis=1, bitorder="little")
+            supports.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        messages = _class_messages(code.dim, code.field.q, code.ops.dtype)
+        code._classes = ClassTable(weights, supports, messages)
+    return code._classes
 
 
 def weight_distribution(code: LinearCode, config: Optional[Config] = None) -> dict:
     """Exact weight counts over all q^dim codewords, via scalar classes."""
-    cfg = config or Config()
-    _require_budget(code.num_classes * code.length, cfg.weight_budget, "weight distribution")
+    require_budgets(code, ("weights",), config)
     counts: dict = {0: 1}
     mult = code.field.q - 1
-    for _, _, words in _class_blocks(code):
-        wts, reps = np.unique((words != 0).sum(axis=1), return_counts=True)
-        for w, c in zip(wts.tolist(), reps.tolist()):
-            counts[w] = counts.get(w, 0) + c * mult
+    wts, reps = np.unique(_class_table(code).weights, return_counts=True)
+    for w, c in zip(wts.tolist(), reps.tolist()):
+        counts[w] = counts.get(w, 0) + c * mult
     return counts
 
 
@@ -291,19 +355,14 @@ class MinimalityReport:
         }
 
 
-def _class_supports(code: LinearCode):
-    """Support bitmask ints, weights, and (t, g) labels for every class rep."""
-    supports = []
-    weights = []
-    labels = []
-    for t, g0, words in _class_blocks(code):
-        nz = words != 0
-        weights.extend((nz.sum(axis=1)).tolist())
-        packed = np.packbits(nz, axis=1, bitorder="little")
-        for off, row in enumerate(packed):
-            supports.append(int.from_bytes(row.tobytes(), "little"))
-            labels.append((t, g0 + off))
-    return supports, weights, labels
+def _first_inside(i: int, supports: list, weights: list):
+    """The first class j != i whose support lies inside supp(c_i), or None."""
+    si = supports[i]
+    wi = weights[i]
+    for j, sj in enumerate(supports):
+        if j != i and weights[j] <= wi and sj & si == sj:
+            return j
+    return None
 
 
 def is_minimal_bruteforce(
@@ -314,28 +373,21 @@ def is_minimal_bruteforce(
     A pair with supp(c_j) inside supp(c_i), i != j, kills minimality; the
     witness is the first such pair in (i, j) order.
     """
-    cfg = config or Config()
-    R = code.num_classes
-    _require_budget(R * (R - 1) * code.length, cfg.pair_budget, "brute-force scan")
-    supports, weights, labels = _class_supports(code)
-    q = code.field.q
-    pairs = 0
+    require_budgets(code, ("brute",), config)
+    table = _class_table(code)
+    supports, weights = table.supports, table.weights.tolist()
+    R = len(weights)
     for i in range(R):
-        si = supports[i]
-        wi = weights[i]
-        for j in range(R):
-            if i == j:
-                continue
-            pairs += 1
-            if weights[j] <= wi and supports[j] & si == supports[j]:
-                ti, gi = labels[i]
-                tj, gj = labels[j]
-                witness = {
-                    "container_message": list(_class_message(code.dim, q, ti, gi)),
-                    "contained_message": list(_class_message(code.dim, q, tj, gj)),
-                }
-                return MinimalityReport(False, "bruteforce", pairs, witness)
-    return MinimalityReport(True, "bruteforce", pairs)
+        j = _first_inside(i, supports, weights)
+        if j is not None:
+            witness = {
+                "container_message": table.messages[i].tolist(),
+                "contained_message": table.messages[j].tolist(),
+            }
+            # pairs (i, j') with j' != i, up to and including the hit
+            pairs = i * (R - 1) + j + (j < i)
+            return MinimalityReport(False, "bruteforce", pairs, witness)
+    return MinimalityReport(True, "bruteforce", R * (R - 1))
 
 
 def is_minimal_weightsum(
@@ -346,45 +398,44 @@ def is_minimal_weightsum(
     For ordered independent pairs (c, c'), minimality fails exactly when
     sum over nonzero a of wt(c' - a*c) equals (q-1)*wt(c') - wt(c). The sum
     is computed as stated, keeping this an independent route rather than a
-    restatement of support containment.
+    restatement of support containment. c' - a*c has message m' - a*m, so
+    each weight is looked up by message index (sum of digit_l * q^l) in a
+    q^dim table filled from the class weights and their nonzero multiples.
+    Classes i are scanned in blocks; the witness is the first hit in (i, j)
+    order.
     """
-    cfg = config or Config()
+    require_budgets(code, ("weightsum",), config)
+    table = _class_table(code)
     q = code.field.q
-    R = code.num_classes
-    _require_budget(R * (R - 1) * (q - 1) * code.length, cfg.pair_budget, "weight-sum scan")
-    if R * code.length > _BLOCK_ELEMS * 4:
-        raise BudgetExceeded("weight-sum scan needs the full class matrix in memory")
     ops = code.ops
-    W = np.empty((R, code.length), dtype=ops.dtype)
-    labels = []
-    row = 0
-    for t, g0, words in _class_blocks(code):
-        W[row : row + words.shape[0]] = words
-        labels.extend((t, g0 + off) for off in range(words.shape[0]))
-        row += words.shape[0]
-    wt = (W != 0).sum(axis=1).astype(np.int64)
-    pairs = 0
-    for i in range(R):
-        c = W[i]
-        sums = np.zeros(R, dtype=np.int64)
-        for a in range(1, q):
-            sums += (ops.sub(W, ops.mul_scalar(a, c)[None, :]) != 0).sum(axis=1)
-        rhs = (q - 1) * wt - wt[i]
-        eq = sums == rhs
-        eq[i] = False
-        pairs += R - 1
-        hits = np.nonzero(eq)[0]
-        if hits.size:
-            j = int(hits[0])
-            ti, gi = labels[i]
-            tj, gj = labels[j]
+    msgs = table.messages
+    wt = table.weights
+    R = len(wt)
+    place = q ** np.arange(code.dim, dtype=np.int64)
+    lookup = np.zeros(q**code.dim, dtype=np.int64)
+    for a in range(1, q):
+        lookup[ops.mul_scalar(a, msgs) @ place] = wt
+    # digits of -a*m_i for every nonzero a and class i, shape (q-1, R, dim)
+    neg_multiples = np.stack([ops.neg(ops.mul_scalar(a, msgs)) for a in range(1, q)])
+    rows = max(1, _SCAN_ELEMS // max(1, (q - 1) * R * code.dim))
+    for i0 in range(0, R, rows):
+        i1 = min(R, i0 + rows)
+        # weights of c_j - a*c_i for classes i0 <= i < i1, every a and every j
+        diffs = ops.add(msgs[None, None], neg_multiples[:, i0:i1, None])
+        sums = lookup[diffs @ place].sum(axis=0)
+        eq = sums == (q - 1) * wt[None, :] - wt[i0:i1, None]
+        eq[np.arange(i1 - i0), np.arange(i0, i1)] = False
+        hit_rows = np.nonzero(eq.any(axis=1))[0]
+        if hit_rows.size:
+            i = i0 + int(hit_rows[0])
+            j = int(np.argmax(eq[hit_rows[0]]))
             # equality at (i, j) certifies supp(c_i) inside supp(c_j)
             witness = {
-                "container_message": list(_class_message(code.dim, q, tj, gj)),
-                "contained_message": list(_class_message(code.dim, q, ti, gi)),
+                "container_message": msgs[j].tolist(),
+                "contained_message": msgs[i].tolist(),
             }
-            return MinimalityReport(False, "weightsum", pairs, witness)
-    return MinimalityReport(True, "weightsum", pairs)
+            return MinimalityReport(False, "weightsum", (i + 1) * (R - 1), witness)
+    return MinimalityReport(True, "weightsum", R * (R - 1))
 
 
 def is_minimal_theorem(code: LinearCode) -> MinimalityReport:
@@ -406,6 +457,7 @@ def is_minimal(
     code: LinearCode, method: str = "both", config: Optional[Config] = None
 ) -> MinimalityReport:
     """Dispatch: brute | weightsum | both (cross-checked) | theorem."""
+    require_budgets(code, METHOD_ROUTES.get(method, ()), config)
     if method == "brute":
         return is_minimal_bruteforce(code, config)
     if method == "weightsum":
@@ -432,24 +484,14 @@ def is_minimal(
 
 def minimal_codewords(code: LinearCode, config: Optional[Config] = None) -> list:
     """Messages (one per scalar class) of the minimal codewords."""
-    cfg = config or Config()
-    R = code.num_classes
-    _require_budget(R * (R - 1) * code.length, cfg.pair_budget, "minimal-word scan")
-    supports, weights, labels = _class_supports(code)
-    q = code.field.q
-    out = []
-    for i in range(R):
-        si = supports[i]
-        wi = weights[i]
-        minimal = True
-        for j in range(R):
-            if i != j and weights[j] <= wi and supports[j] & si == supports[j]:
-                minimal = False
-                break
-        if minimal:
-            t, g = labels[i]
-            out.append(_class_message(code.dim, q, t, g))
-    return out
+    require_budgets(code, ("minimal-words",), config)
+    table = _class_table(code)
+    supports, weights = table.supports, table.weights.tolist()
+    return [
+        tuple(table.messages[i].tolist())
+        for i in range(len(weights))
+        if _first_inside(i, supports, weights) is None
+    ]
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 An element a_0 + a_1*t + ... + a_{m-1}*t^{m-1} is stored as the integer
 a_0 + a_1*p + ... + a_{m-1}*p^{m-1}, constant term least significant. For
-prime fields this is the usual residue 0..p-1. Multiplication runs through
-log/antilog tables built at construction time for every supported order.
+prime fields this is the usual residue 0..p-1. Orders above 2^16 are
+refused, so every modulus is checked for irreducibility by exhaustive trial
+division and multiplication always runs through log/antilog tables built at
+construction time.
 """
 
 from __future__ import annotations
@@ -26,9 +28,16 @@ BUILTIN_MODULI = {
     27: (1, 2, 0, 1),
 }
 
-# Above this order the q-sized tables stop being cheap; fall back to
-# polynomial arithmetic per call.
-_TABLE_LIMIT = 1 << 16
+# Largest supported order: q-sized log/antilog tables stay cheap, element
+# codes fit uint16, and products of two codes fit int64.
+MAX_ORDER = 1 << 16
+
+
+def _require_order(p: int, m: int = 1):
+    """Refuse GF(p^m) above MAX_ORDER; m is bounded before p^m is formed."""
+    if p >= 2 and m >= 1 and (m >= MAX_ORDER.bit_length() or p**m > MAX_ORDER):
+        order = p if m == 1 else f"{p}^{m}"
+        raise UnsupportedOrder(f"order {order} exceeds the largest supported order {MAX_ORDER}")
 
 
 def is_prime(p: int) -> bool:
@@ -88,25 +97,15 @@ def _poly_mod(a, mod, p):
 
 
 def _is_irreducible(mod, p) -> bool:
+    """Exhaustive trial division by monic polynomials of degree 1..deg/2."""
     deg = len(mod) - 1
     if deg < 1:
         return False
-    half = deg // 2
-    if p**half <= 1 << 20:
-        # exhaustive trial division by monic polynomials of degree 1..deg/2
-        for d in range(1, half + 1):
-            for code in range(p**d):
-                div = _digits(code, p, d) + (1,)
-                if not _poly_mod(mod, div, p):
-                    return False
-        return True
-    # degree too large to trial-divide; at least reject linear factors
-    for x in range(p):
-        acc = 0
-        for c in reversed(mod):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
+    for d in range(1, deg // 2 + 1):
+        for code in range(p**d):
+            div = _digits(code, p, d) + (1,)
+            if not _poly_mod(mod, div, p):
+                return False
     return True
 
 
@@ -114,6 +113,7 @@ class Field:
     """GF(p^m); elements are the integers 0..q-1 under the digit encoding."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
+        _require_order(p, m)
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
@@ -142,12 +142,9 @@ class Field:
         self.m = m
         self.q = q
         self.generator = None
-        self._exp = None
-        self._log = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
-    # bootstrap product, also the fallback beyond _TABLE_LIMIT
+    # polynomial product, used only to bootstrap the tables
     def _mul_raw(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
@@ -228,16 +225,12 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return self._pow_raw(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -250,11 +243,7 @@ class Field:
             if e > 0:
                 return 0
             raise ZeroInverse("0 has no negative powers")
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        if e < 0:
-            return self._pow_raw(self.inv(a), -e)
-        return self._pow_raw(a, e % (self.q - 1) if e else 0)
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self):
         return range(self.q)
@@ -285,6 +274,7 @@ def field_from_order(q: int, modulus=None) -> Field:
     """Build GF(q), factoring q = p^m; rejects non prime powers."""
     if q < 2:
         raise UnsupportedOrder(f"order {q} is not a prime power")
+    _require_order(q)
     p = 2
     while q % p:
         p += 1

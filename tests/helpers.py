@@ -7,6 +7,8 @@ available so that agreement is meaningful.
 
 import itertools
 
+import numpy as np
+
 # Weight distributions computed once by brute force over full message
 # spaces and frozen; keys are weights, values are codeword counts.
 WD_Q2_R2_K2 = {0: 1, 6: 10, 8: 15, 10: 6}
@@ -112,3 +114,46 @@ def naive_is_minimal(code):
             if wj not in multiples and sups[j] <= sups[i]:
                 return False
     return True
+
+
+def class_messages(dim, q):
+    """Scalar-class representatives in canonical order: leading position t,
+    then the digits above t as an integer, digit t+1 least significant."""
+    out = []
+    for t in range(dim):
+        for g in range(q ** (dim - 1 - t)):
+            m = [0] * dim
+            m[t] = 1
+            for j in range(t + 1, dim):
+                m[j] = g % q
+                g //= q
+            out.append(m)
+    return out
+
+
+def literal_weightsum(code):
+    """The weight-sum criterion summed over full codewords.
+
+    Returns (minimal, witness, pairs_checked) with the library's witness
+    convention: the first (i, j) whose sum of wt(c_j - a*c_i) over nonzero a
+    equals (q-1)*wt(c_j) - wt(c_i) gives supp(c_i) inside supp(c_j).
+    """
+    q = code.field.q
+    ops = code.ops
+    msgs = class_messages(code.dim, q)
+    words = np.array([code.word_from_message(m) for m in msgs], dtype=ops.dtype)
+    wt = (words != 0).sum(axis=1).astype(np.int64)
+    R = len(msgs)
+    pairs = 0
+    for i in range(R):
+        sums = np.zeros(R, dtype=np.int64)
+        for a in range(1, q):
+            sums += (ops.sub(words, ops.mul_scalar(a, words[i])[None, :]) != 0).sum(axis=1)
+        eq = sums == (q - 1) * wt - wt[i]
+        eq[i] = False
+        pairs += R - 1
+        hits = np.nonzero(eq)[0]
+        if hits.size:
+            j = int(hits[0])
+            return False, {"container_message": msgs[j], "contained_message": msgs[i]}, pairs
+    return True, None, pairs

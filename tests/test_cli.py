@@ -350,3 +350,9 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["length"] == 15
+
+
+def test_order_above_two_to_sixteen_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--q", "65537", "--r", "2", "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: order 65537 exceeds the largest supported order 65536\n"

@@ -158,3 +158,24 @@ def test_add_is_characteristic_p():
     field9 = field_from_order(9)
     for a in field9.elements():
         assert field9.add(field9.add(a, a), a) == 0
+
+
+def test_orders_above_two_to_sixteen_refused():
+    # (t^2 - 7)(t^2 - 14) over GF(1031): 7 and 14 are non-squares, so the
+    # quartic has no linear factor but has zero divisors t^2 - 7, t^2 - 14
+    assert pow(7, 515, 1031) == 1030 and pow(14, 515, 1031) == 1030
+    reducible = ((7 * 14) % 1031, 0, (-21) % 1031, 0, 1)
+    with pytest.raises(UnsupportedOrder):
+        Field(1031, 4, modulus=reducible)
+    with pytest.raises(UnsupportedOrder):
+        field_from_order(1031**4, reducible)
+    # 65537 = 2^16 + 1 is prime; the largest prime below 2^16 still works
+    with pytest.raises(UnsupportedOrder):
+        field_from_order(65537)
+    with pytest.raises(UnsupportedOrder):
+        Field(65537)
+    with pytest.raises(UnsupportedOrder):  # refused without forming 2^(10^9)
+        Field(2, 10**9)
+    field = field_from_order(65521)
+    assert field.mul(field.inv(12345), 12345) == 1
+    assert field.pow(3, -1) == field.inv(3)
