@@ -7,6 +7,25 @@ representatives in PG(n-1, q); a projective subspace of projective
 dimension s is handled through the linear subspace of dimension s+1.
 All scans run in the canonical subspace order of Space.subspaces, so
 witnesses are deterministic: always the first failure in that order.
+
+Hyperplane questions (k = 1, and the exclusion of linear dimension n-1)
+read the set's hyperplane counts c[h] = |S n H_h| from one exact transform
+(PointSet.hyperplane_counts), taken in the canonical hyperplane order of
+Space.hyperplane_normals:
+- k = 1 blocking: every c[h] > 0;
+- exclusion: H_h lies inside S when c[h] counts all of its points,
+  q^(n-1) - 1 vectorial or (q^(n-1) - 1)/(q - 1) projective;
+- k = 1 cutting: through each codimension-2 subspace K of H_h pass H_h and
+  the q hyperplanes H_(g + a.h), a in GF(q), for any g outside span(h),
+  and every point outside K lies on exactly one of them, so
+  sum_a c[g + a.h] = q |S n K| + |S - H_h|. The trace S n H_h lies inside
+  some K (and fails to span H_h) exactly when that sum reaches
+  (q - 1) c[h] + |S| for some g. The container of a failing trace is still
+  the first other hyperplane holding its span.
+The shift condition and support_spans read the same transform of the
+function's values over its support. Codimension k >= 2 and smaller
+containment dimensions keep the per-subspace scan under _GENERIC_POINT_CAP;
+method="pairwise" and hyperplane_pair_oracle remain literal cross-checks.
 """
 
 from __future__ import annotations
@@ -16,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bulk import ops_for
 from .errors import (
     BudgetExceeded,
     DimensionOutOfRange,
@@ -27,7 +45,7 @@ from .errors import (
     ZeroNormal,
 )
 from .functions import FunctionSpec, scalar_compatible, zero_set
-from .geometry import PointSet, RowReducer, Space, SubspaceBasis
+from .geometry import _COUNT_CHUNK, PointSet, RowReducer, Space, SubspaceBasis
 
 DEFAULT_OP_BUDGET = 4 * 10**9
 
@@ -44,7 +62,7 @@ def _validate(pset: PointSet, k: int, flavor: str):
         if pset.has_origin():
             raise OriginInSet("vectorial blocking sets exclude the origin")
     elif flavor == "projective":
-        if not bool((~pset.bits | space.projective_mask()).all()):
+        if not bool((space.leading_digits(pset.encodings()) == 1).all()):
             raise NonCanonicalPoint(
                 "projective point sets must hold canonical representatives"
             )
@@ -52,29 +70,15 @@ def _validate(pset: PointSet, k: int, flavor: str):
         raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _subspace_members(sub: SubspaceBasis, fast_mask: Optional[np.ndarray]):
-    """Boolean membership array of a subspace over all encodings."""
-    if fast_mask is not None:
-        return fast_mask
-    space = sub.space
-    bits = np.zeros(space.size, dtype=bool)
-    bits[sub.point_encodings()] = True
-    return bits
-
-
 def _iter_subspace_masks(space: Space, d: int):
-    """(subspace, membership bits) in canonical order; hyperplanes via dot."""
-    fast = d == space.n - 1
-    if not fast and space.subspace_count(d) * space.q**d > _GENERIC_POINT_CAP:
+    """(subspace, membership bits) in canonical order, under the point cap."""
+    if space.subspace_count(d) * space.q**d > _GENERIC_POINT_CAP:
         raise BudgetExceeded(
             f"enumerating {space.subspace_count(d)} subspaces of dimension {d} "
             "exceeds the point cap"
         )
     for sub in space.subspaces(d):
-        if fast:
-            yield sub, space.dot_all(sub.normal()) == 0
-        else:
-            yield sub, _subspace_members(sub, None)
+        yield sub, sub.point_set().bits
 
 
 def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
@@ -92,12 +96,74 @@ def is_blocking(pset: PointSet, k: int, flavor: str = "vectorial"):
     """Does the set meet every codimension-k subspace? (verdict, missed one)."""
     _validate(pset, k, flavor)
     space = pset.space
+    if k == 1:
+        h = _first(_hyperplane_column(pset) == 0)
+        return (True, None) if h is None else (False, space.hyperplane_basis(h))
     for sub, members in _iter_subspace_masks(space, space.n - k):
         hit = pset.bits & members
         hit[0] = False
         if not hit.any():
             return False, sub
     return True, None
+
+
+def _first(flags) -> Optional[int]:
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
+def _hyperplane_column(pset: PointSet) -> np.ndarray:
+    """|S n H| for every hyperplane H, in canonical order."""
+    return pset.hyperplane_counts()[pset.space.hyperplane_normals()]
+
+
+def _first_uncut_hyperplane(pset: PointSet) -> Optional[int]:
+    """Canonical index of the first hyperplane the set's trace does not span.
+
+    Hyperplane h has normal w with w_j = 1 and zeros above j, so the points
+    g with g_j = 0, taken up to scalars, name each codimension-2 subspace
+    H_w n H_g once. Blocks of hyperplanes are checked in order and the scan
+    stops at the first failure; a hyperplane holding fewer than n - 1 points
+    of the set fails without a check, which bounds the scan.
+    """
+    space = pset.space
+    q, n = space.q, space.n
+    c = pset.hyperplane_counts()
+    normals = space.hyperplane_normals()
+    col = c[normals]
+    target = (q - 1) * col + len(pset)
+    stop = _first(col < n - 1)
+    end = normals.size if stop is None else stop
+    points = space.projective_point_encodings()
+    start = 0
+    for j in range(n - 1, -1, -1):
+        lo, start = start, start + q**j
+        if lo >= end:
+            break
+        reps = points[(points // q**j) % q == 0]
+        rows = max(1, _COUNT_CHUNK // (reps.size * q))
+        for b in range(lo, min(start, end), rows):
+            w = normals[b : min(b + rows, start, end)]
+            sums = np.repeat(c[reps][None, :], w.size, axis=0)
+            for a in range(1, q):
+                sums += c[space.add_encodings(reps[None, :], space.scale_encodings(a, w)[:, None])]
+            h = _first((sums == target[b : b + w.size, None]).any(axis=1))
+            if h is not None:
+                return b + h
+    return stop
+
+
+def _trace_span(pset: PointSet, members: np.ndarray, d: int) -> RowReducer:
+    """Row-reduced span of the set's points in members, stopping at rank d."""
+    space = pset.space
+    red = RowReducer(space.field)
+    for e in np.nonzero(pset.bits & members)[0]:
+        if e == 0:
+            continue
+        red.absorb(space.decode(int(e)))
+        if red.rank == d:
+            break
+    return red
 
 
 def _first_container(space: Space, d: int, rows, skip: SubspaceBasis):
@@ -136,15 +202,15 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
                 if not (trace & ~omembers).any():
                     return False, (sub, other)
         return True, None
+    if k == 1:
+        h = _first_uncut_hyperplane(pset)
+        if h is None:
+            return True, None
+        sub = space.hyperplane_basis(h)
+        red = _trace_span(pset, space.dot_all(sub.normal()) == 0, d)
+        return False, (sub, _first_container(space, d, [r for _, r in red.rows], sub))
     for sub, members in _iter_subspace_masks(space, d):
-        trace = np.nonzero(pset.bits & members)[0]
-        red = RowReducer(space.field)
-        for e in trace:
-            if e == 0:
-                continue
-            red.absorb(space.decode(int(e)))
-            if red.rank == d:
-                break
+        red = _trace_span(pset, members, d)
         if red.rank < d:
             rows = [r for _, r in red.rows]
             return False, (sub, _first_container(space, d, rows, sub))
@@ -160,11 +226,19 @@ def is_ks_blocking(pset: PointSet, k: int, s: int, flavor: str = "vectorial"):
     Returns (verdict, {"missed": ..., "contained": ...}).
     """
     _validate(pset, k, flavor)
-    space = pset.space
+    lin_s = _linear_s(pset.space, s, flavor)
+    return _ks_verdict(pset, lin_s, flavor, *is_blocking(pset, k, flavor))
+
+
+def _linear_s(space: Space, s: int, flavor: str) -> int:
     lin_s = s + 1 if flavor == "projective" else s
     if not 1 <= lin_s <= space.n - 1:
         raise DimensionOutOfRange(f"s={s} out of range for {flavor} flavor")
-    blocked, missed = is_blocking(pset, k, flavor)
+    return lin_s
+
+
+def _ks_verdict(pset: PointSet, lin_s: int, flavor: str, blocked: bool, missed):
+    """is_ks_blocking's result, given the k-blocking verdict already found."""
     if not blocked:
         return False, {"missed": missed, "contained": None}
     contained = _contained_subspace(pset, lin_s, flavor)
@@ -176,6 +250,12 @@ def is_ks_blocking(pset: PointSet, k: int, s: int, flavor: str = "vectorial"):
 def _contained_subspace(pset: PointSet, lin_s: int, flavor: str):
     """First subspace of linear dimension lin_s whose points all lie in the set."""
     space = pset.space
+    if lin_s == space.n - 1:
+        full = space.q**lin_s - 1
+        if flavor == "projective":
+            full //= space.q - 1
+        h = _first(_hyperplane_column(pset) == full)
+        return None if h is None else space.hyperplane_basis(h)
     if flavor == "projective":
         relevant = space.projective_mask()
     else:
@@ -190,38 +270,22 @@ def _contained_subspace(pset: PointSet, lin_s: int, flavor: str):
 def support_spans(f: FunctionSpec):
     """Necessary condition: supp(f) lies in no hyperplane. (verdict, normal)."""
     space = f.space
-    tab = f.table()
-    red = RowReducer(space.field)
-    for e in np.nonzero(tab)[0]:
-        if e == 0:
-            continue
-        red.absorb(space.decode(int(e)))
-        if red.rank == space.n:
-            return True, None
-    support = tab != 0
+    support = f.table() != 0
     support[0] = False
-    for sub in space.subspaces(space.n - 1):
-        v = sub.normal()
-        if not (support & (space.dot_all(v) != 0)).any():
-            return False, v
-    raise AssertionError("a non-spanning support lies in some hyperplane")
+    inside = space.shift_counts(support)[space.hyperplane_normals()] == support.sum()
+    h = _first(inside)
+    return (True, None) if h is None else (False, space.hyperplane_basis(h).normal())
 
 
 def shift_vanishes_on_support(f: FunctionSpec):
     """For every nonzero v, f + v.x must vanish somewhere f does not.
 
-    Returns (verdict, first failing v as a tuple | None).
+    Returns (verdict, first failing v in encoding order as a tuple | None).
     """
     space = f.space
-    ops_tab = f.table()
-    support = ops_tab != 0
-    ops = ops_for(f.field)
-    for ve in range(1, space.size):
-        v = space.decode(ve)
-        shifted = ops.add(ops_tab, space.dot_all(v))
-        if not (support & (shifted == 0)).any():
-            return False, v
-    return True, None
+    tab = f.table()
+    ve = _first(space.shift_counts(tab != 0, tab)[1:] == 0)
+    return (True, None) if ve is None else (False, space.decode(ve + 1))
 
 
 def hyperplane_pair_oracle(f: FunctionSpec, v, v_prime) -> bool:
@@ -309,7 +373,8 @@ def blocking_report(
         "contained_subspace": None,
     }
     if s is not None:
-        ks_ok, ks_wit = is_ks_blocking(pset, k, s, flavor)
+        lin_s = _linear_s(pset.space, s, flavor)
+        ks_ok, ks_wit = _ks_verdict(pset, lin_s, flavor, blocked, missed)
         witnesses["contained_subspace"] = _sub_json(ks_wit["contained"])
     return BlockingReport(
         flavor=flavor,

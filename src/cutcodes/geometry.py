@@ -5,6 +5,14 @@ is the least significant digit and the nonzero points of the space are
 exactly the encodings 1..q^n-1 in order. Subspaces are enumerated through
 canonical reduced-row-echelon bases, one per subspace, ordered first by
 pivot-column set (lexicographic) and then by the free entries.
+
+Hyperplane counts come from one exact transform instead of a scan per
+hyperplane: Space.shift_counts gives #{x in a set : values[x] + v.x = 0}
+for every v at once, so a point set's column c[v] = |S n H_v| (cached on
+the PointSet) answers every hyperplane question. Space.hyperplane_normals
+lists one normal per hyperplane in the canonical subspaces(n-1) order, and
+Space.hyperplane_basis rebuilds the matching basis, so a witness read from
+the counts is the same subspace the canonical scan would have reported.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .errors import DimensionOutOfRange, ParseError, ZeroNormal
 from .field import Field, field_from_order
 
 _DIGIT_CACHE_LIMIT = 1 << 22
+_COUNT_CHUNK = 1 << 18  # elements per temporary array of the count transform
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -86,6 +95,7 @@ class Space:
         self._digit_cols = None
         self._proj_encodings = None
         self._proj_mask = None
+        self._hyperplane_normals = None
 
     # point encoding -------------------------------------------------------
     def encode(self, coords) -> int:
@@ -147,18 +157,19 @@ class Space:
                 return tuple(f.mul(inv, c) for c in coords)
         raise ZeroNormal("the origin has no projective representative")
 
+    def leading_digits(self, enc) -> np.ndarray:
+        """First nonzero coordinate of each encoding; 0 for the origin."""
+        enc = np.asarray(enc, dtype=np.int64)
+        first = np.zeros(enc.shape, dtype=np.int64)
+        for i in range(self.n):
+            first = np.where(first == 0, (enc // self.q**i) % self.q, first)
+        return first
+
     def projective_mask(self) -> np.ndarray:
         """Boolean over encodings: canonical representatives (first nonzero digit 1)."""
         if self._proj_mask is not None:
             return self._proj_mask
-        cols = self.digit_columns()
-        first = np.zeros(self.size, dtype=np.int64)
-        found = np.zeros(self.size, dtype=bool)
-        for i in range(self.n):
-            sel = ~found & (cols[:, i] != 0)
-            first[sel] = cols[sel, i]
-            found |= sel
-        mask = found & (first == 1)
+        mask = self.leading_digits(np.arange(self.size)) == 1
         if self.size <= _DIGIT_CACHE_LIMIT:
             self._proj_mask = mask
         return mask
@@ -201,6 +212,112 @@ class Space:
             bits = bits.copy()
             bits[0] = False
         return PointSet(self, bits)
+
+    def add_encodings(self, u, w) -> np.ndarray:
+        """Encodings of the vector sums x + y, elementwise over encoding arrays.
+
+        Under the digit encoding GF(p^m)^n is GF(p)^(n*m) written in base p,
+        so a vector sum adds base-p digits without carry: bitwise XOR for
+        p = 2, otherwise u + w less p^(j+1) for every digit j that overflows.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        w = np.asarray(w, dtype=np.int64)
+        p = self.field.p
+        if p == 2:
+            return u ^ w
+        out = u + w
+        step = 1
+        for _ in range(self.n * self.field.m):
+            out -= ((u // step) % p + (w // step) % p >= p) * (p * step)
+            step *= p
+        return out
+
+    def scale_encodings(self, lam: int, enc) -> np.ndarray:
+        """Encodings of lam * x for an array of encodings x."""
+        enc = np.asarray(enc, dtype=np.int64)
+        digits = (enc[..., None] // self.q ** np.arange(self.n)) % self.q
+        return self.encode_block(ops_for(self.field).mul_scalar(lam, digits))
+
+    def shift_counts(self, mask: np.ndarray, values: Optional[np.ndarray] = None):
+        """c[v] = #{x in mask : values[x] + v.x = 0} for every encoding v.
+
+        values defaults to 0, which makes c[v] = |mask n H_v| (c[0] = |mask|).
+        An exact transform over the group ring Z[(GF(q), +)]: every point x
+        starts as the unit histogram at t = values[x], and pass i trades the
+        coordinate x_i for v_i, shifting the histogram by v_i * x_i:
+        B[v_i][t] += A[x_i][t - v_i * x_i], gathered through the field's
+        arithmetic. Integers only, n passes, O(n * q^(n+2)) work; the first
+        pass scatters the points and the last keeps only t = 0, so n = 2
+        costs O(q^3). Temporaries are cut into blocks of _COUNT_CHUNK.
+        """
+        q, n, size = self.q, self.n, self.size
+        ops = ops_for(self.field)
+        el = np.arange(q, dtype=np.int64)
+        pts = np.nonzero(mask)[0]
+        t0 = np.zeros(pts.size, dtype=np.int64) if values is None else values[pts]
+        # pass 0 scatters: x goes to (x with x_1 replaced by v_1, t0 + v_1 x_1)
+        hist = np.zeros(size * q, dtype=np.int64)
+        step = _COUNT_CHUNK // q
+        for lo in range(0, pts.size, step):
+            x = pts[lo : lo + step]
+            x1 = x % q
+            t = ops.add(t0[lo : lo + x.size, None], ops.mul(el[None, :], x1[:, None]))
+            keys = (x[:, None] - x1[:, None] + el[None, :]) * q + t
+            hist += np.bincount(keys.ravel(), minlength=size * q)
+        hist = hist.reshape(size, q)
+        for i in range(1, n):
+            tw = 1 if i == n - 1 else q  # the last pass needs only t = 0
+            high, low = q ** (n - 1 - i), q**i
+            src = hist.reshape(high, q, low, q)
+            out = np.empty((high, q, low, tw), dtype=np.int64)
+            # back[x][v, t] = t - v*x: where the histogram entry shifted to t came from
+            back = [ops.sub(el[None, :tw], ops.mul_scalar(x, el)[:, None]) for x in range(q)]
+            rows = max(1, _COUNT_CHUNK // (low * q * q))
+            for lo in range(0, high, rows):
+                blk = src[lo : lo + rows]
+                acc = np.zeros((blk.shape[0], low, q, tw), dtype=np.int64)
+                for x in range(q):
+                    acc += blk[:, x][:, :, back[x]]
+                out[lo : lo + rows] = acc.transpose(0, 2, 1, 3)
+            hist = out.reshape(size, tw)
+        return hist[:, 0].copy()
+
+    def hyperplane_normals(self) -> np.ndarray:
+        """One normal encoding per hyperplane, in the canonical subspaces(n-1) order.
+
+        The hyperplane whose canonical basis leaves column j free (0-based;
+        j = n-1 first, down to 0) and holds a_i in column j of the row with
+        pivot i < j has the normal (-a_0, ..., -a_(j-1), 1, 0, ..., 0);
+        within one j the tuples (a_0, ..., a_(j-1)) run lexicographically.
+        """
+        if self._hyperplane_normals is None:
+            q = self.q
+            ops = ops_for(self.field)
+            parts = []
+            for j in range(self.n - 1, -1, -1):
+                idx = np.arange(q**j, dtype=np.int64)
+                enc = np.full(q**j, q**j, dtype=np.int64)
+                for i in range(j):
+                    a = (idx // q ** (j - 1 - i)) % q
+                    enc += ops.neg(a).astype(np.int64) * q**i
+                parts.append(enc)
+            self._hyperplane_normals = np.concatenate(parts)
+        return self._hyperplane_normals
+
+    def hyperplane_basis(self, index: int) -> "SubspaceBasis":
+        """The hyperplane at position index of subspaces(n-1), from its normal."""
+        w = self.decode(int(self.hyperplane_normals()[index]))
+        j = max(i for i, x in enumerate(w) if x)
+        rows = []
+        for i in range(self.n):
+            if i != j:
+                row = [0] * self.n
+                row[i] = 1
+                if i < j:
+                    row[j] = self.field.neg(w[i])
+                rows.append(tuple(row))
+        pivots = tuple(i for i in range(self.n) if i != j)
+        return SubspaceBasis(self, tuple(rows), pivots)
 
     # subspaces ------------------------------------------------------------
     def subspace_count(self, d: int) -> int:
@@ -336,7 +453,7 @@ class SubspaceBasis:
 class PointSet:
     """A subset of GF(q)^n as a boolean bitmap indexed by point encoding."""
 
-    __slots__ = ("space", "bits", "_count")
+    __slots__ = ("space", "bits", "_count", "_hyperplane_counts")
 
     def __init__(self, space: Space, bits: np.ndarray):
         if bits.shape != (space.size,) or bits.dtype != np.bool_:
@@ -344,6 +461,7 @@ class PointSet:
         self.space = space
         self.bits = bits
         self._count = None
+        self._hyperplane_counts = None
 
     @classmethod
     def empty(cls, space: Space) -> "PointSet":
@@ -369,6 +487,12 @@ class PointSet:
         if self._count is None:
             self._count = int(self.bits.sum())
         return self._count
+
+    def hyperplane_counts(self) -> np.ndarray:
+        """c[v] = |S n H_v| for every encoding v (c[0] = |S|), computed once."""
+        if self._hyperplane_counts is None:
+            self._hyperplane_counts = self.space.shift_counts(self.bits)
+        return self._hyperplane_counts
 
     def __contains__(self, e: int) -> bool:
         return bool(self.bits[e])

@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 
+from cutcodes.bulk import ops_for
+from cutcodes.geometry import RowReducer
+
 # Weight distributions computed once by brute force over full message
 # spaces and frozen; keys are weights, values are codeword counts.
 WD_Q2_R2_K2 = {0: 1, 6: 10, 8: 15, 10: 6}
@@ -157,3 +160,97 @@ def literal_weightsum(code):
             j = int(hits[0])
             return False, {"container_message": msgs[j], "contained_message": msgs[i]}, pairs
     return True, None, pairs
+
+
+# Literal per-hyperplane / per-vector scans: the routes the hyperplane
+# counts replaced, kept as oracles for the differential tests.
+
+
+def subspace_bits(sub):
+    """Membership of every encoding in a subspace, from its listed points."""
+    bits = np.zeros(sub.space.size, dtype=bool)
+    bits[sub.point_encodings()] = True
+    return bits
+
+
+def direct_shift_counts(space, mask, values=None):
+    """#{x in mask : values[x] + v.x = 0} for each v, one dot product per v."""
+    ops = ops_for(space.field)
+    base = np.zeros(space.size, dtype=ops.dtype) if values is None else values
+    return np.array(
+        [
+            int((mask & (ops.add(base, space.dot_all(space.decode(ve))) == 0)).sum())
+            for ve in range(space.size)
+        ],
+        dtype=np.int64,
+    )
+
+
+def literal_blocking(pset, k):
+    """First codimension-k subspace holding no nonzero point of the set."""
+    space = pset.space
+    for sub in space.subspaces(space.n - k):
+        hit = pset.bits & subspace_bits(sub)
+        hit[0] = False
+        if not hit.any():
+            return False, sub
+    return True, None
+
+
+def literal_span_cutting(pset, k):
+    """The per-subspace span loop: row-reduce each trace, then find the
+    first other subspace of the same dimension holding its span."""
+    space = pset.space
+    d = space.n - k
+    for sub in space.subspaces(d):
+        red = RowReducer(space.field)
+        for e in np.nonzero(pset.bits & subspace_bits(sub))[0]:
+            if e == 0:
+                continue
+            red.absorb(space.decode(int(e)))
+            if red.rank == d:
+                break
+        if red.rank < d:
+            rows = [r for _, r in red.rows]
+            for other in space.subspaces(d):
+                if other != sub and all(other.contains(r) for r in rows):
+                    return False, (sub, other)
+            raise AssertionError("a low-rank trace always has a second container")
+    return True, None
+
+
+def literal_contained(pset, lin_s, flavor):
+    """First subspace of linear dimension lin_s whose points all lie in the set."""
+    space = pset.space
+    for sub in space.subspaces(lin_s):
+        pts = [space.decode(int(e)) for e in sub.point_encodings() if e]
+        if flavor == "projective":
+            pts = {space.canonical_representative(p) for p in pts}
+        if all(pset.contains_point(p) for p in pts):
+            return sub
+    return None
+
+
+def literal_support_spans(f):
+    """First hyperplane normal (canonical order) annihilating supp(f)."""
+    space = f.space
+    support = f.table() != 0
+    support[0] = False
+    for sub in space.subspaces(space.n - 1):
+        v = sub.normal()
+        if not (support & (space.dot_all(v) != 0)).any():
+            return False, v
+    return True, None
+
+
+def literal_shift(f):
+    """The per-v loop: first nonzero v with f + v.x nonzero on all of supp(f)."""
+    space = f.space
+    tab = f.table()
+    support = tab != 0
+    ops = ops_for(f.field)
+    for ve in range(1, space.size):
+        v = space.decode(ve)
+        if not (support & (ops.add(tab, space.dot_all(v)) == 0)).any():
+            return False, v
+    return True, None
