@@ -22,8 +22,13 @@ Space.hyperplane_normals:
   some K (and fails to span H_h) exactly when that sum reaches
   (q - 1) c[h] + |S| for some g. The container of a failing trace is still
   the first other hyperplane holding its span.
-The shift condition and support_spans read the same transform of the
-function's values over its support. Codimension k >= 2 and smaller
+support_spans reads the counts of the function's zero set (in
+theorem_hypotheses the ones already taken), since supp(f) lies in H exactly
+when every point off H is a zero. The shift condition reads the same
+transform of the function's values over its support. Over a large field
+with few hyperplanes, where Space.counts_by_transform finds the transform
+dearer than a scan, the counts come from one dot_all per hyperplane and
+the shift condition keeps its loop over v. Codimension k >= 2 and smaller
 containment dimensions keep the per-subspace scan under _GENERIC_POINT_CAP;
 method="pairwise" and hyperplane_pair_oracle remain literal cross-checks.
 """
@@ -35,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bulk import ops_for
 from .errors import (
     BudgetExceeded,
     DimensionOutOfRange,
@@ -269,11 +275,20 @@ def _contained_subspace(pset: PointSet, lin_s: int, flavor: str):
 
 def support_spans(f: FunctionSpec):
     """Necessary condition: supp(f) lies in no hyperplane. (verdict, normal)."""
-    space = f.space
-    support = f.table() != 0
-    support[0] = False
-    inside = space.shift_counts(support)[space.hyperplane_normals()] == support.sum()
-    h = _first(inside)
+    return _support_spans(zero_set(f, "affine_star"), 1)
+
+
+def _support_spans(zeros: PointSet, cone: int):
+    """support_spans from the hyperplane counts of f's zero set.
+
+    Each point of zeros stands for `cone` nonzero zeros of f: 1 for the
+    affine zero set, q - 1 for the canonical representatives of a cone.
+    supp(f) lies in H_v exactly when every point off H_v is a zero, that is
+    when cone * |Z - H_v| = q^n - q^(n-1).
+    """
+    space = zeros.space
+    off = cone * (len(zeros) - _hyperplane_column(zeros))
+    h = _first(off == space.size - space.size // space.q)
     return (True, None) if h is None else (False, space.hyperplane_basis(h).normal())
 
 
@@ -284,8 +299,16 @@ def shift_vanishes_on_support(f: FunctionSpec):
     """
     space = f.space
     tab = f.table()
-    ve = _first(space.shift_counts(tab != 0, tab)[1:] == 0)
-    return (True, None) if ve is None else (False, space.decode(ve + 1))
+    support = tab != 0
+    if space.counts_by_transform(space.size):
+        ve = _first(space.shift_counts(support, tab)[1:] == 0)
+        return (True, None) if ve is None else (False, space.decode(ve + 1))
+    ops = ops_for(f.field)
+    for ve in range(1, space.size):
+        v = space.decode(ve)
+        if not (support & (ops.add(tab, space.dot_all(v)) == 0)).any():
+            return False, v
+    return True, None
 
 
 def hyperplane_pair_oracle(f: FunctionSpec, v, v_prime) -> bool:
@@ -473,7 +496,7 @@ def theorem_hypotheses(
     contained = _contained_subspace(pset, lin_s, flavor)
     exclusion_ok = contained is None
     shift_ok, shift_wit = shift_vanishes_on_support(f)
-    spans_ok, span_wit = support_spans(f)
+    spans_ok, span_wit = _support_spans(pset, 1 if mode == "affine" else space.q - 1)
     witnesses = {
         "trace_subspace": _sub_json(cut_wit[0]) if cut_wit else None,
         "containing_subspace": _sub_json(cut_wit[1]) if cut_wit else None,

@@ -6,11 +6,15 @@ one exact transform; these tests compare verdicts and witnesses with
 per-hyperplane and per-vector scans on random inputs in both flavors.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutcodes.blocking
+import cutcodes.geometry
 from cutcodes import (
     DenseTable,
     MonomialBlocks,
@@ -206,3 +210,75 @@ def test_block_family_243_frozen():
         },
         "zero_set_size": 3419,
     }
+
+
+@settings(max_examples=30)
+@given(point_sets())
+def test_scanned_counts_equal_transform(case):
+    pset, _ = case
+    space = pset.space
+    assert np.array_equal(space.scan_hyperplane_counts(pset.bits), space.shift_counts(pset.bits))
+
+
+def test_route_follows_field_size():
+    # many counts over a small field: the benchmark's inputs
+    for q, n in [(2, 10), (3, 6), (9, 4), (7, 3)]:
+        space = _space(q, n)
+        assert space.counts_by_transform(space.hyperplane_normals().size)
+        assert space.counts_by_transform(space.size)
+    # a plane's q + 1 lines and q^2 shifts cost no more to scan
+    assert not _space(9, 2).counts_by_transform(10)
+    assert not _space(9, 2).counts_by_transform(81)
+    # a histogram of size * q entries past the cap is never built
+    big = _space(1021, 2)
+    assert not big.counts_by_transform(big.size)
+    with pytest.raises(cutcodes.BudgetExceeded):
+        big.shift_counts(np.zeros(big.size, dtype=bool))
+
+
+@settings(max_examples=30)
+@given(point_sets(), functions())
+def test_scan_route_equals_literal_scans(case, f):
+    pset, flavor = case
+    n = pset.space.n
+    s = n - 1 if flavor == "vectorial" else n - 2
+    with mock.patch.object(cutcodes.geometry, "_COUNT_CAP", 0):
+        got = (is_cutting(pset, 1, flavor), is_ks_blocking(pset, 1, s, flavor))
+        got_f = (support_spans(f), shift_vanishes_on_support(f))
+    blocked = literal_blocking(pset, 1)
+    contained = literal_contained(pset, n - 1, flavor) if blocked[0] else None
+    assert got[0] == literal_span_cutting(pset, 1)
+    assert got[1] == (blocked[0] and contained is None, {"missed": blocked[1], "contained": contained})
+    assert got_f == (literal_support_spans(f), literal_shift(f))
+
+
+def test_plane_over_large_field_scans_in_small_memory():
+    # GF(131)^2: a transform histogram would hold 131^3 entries (9 MB); the
+    # scan route keeps every array near the size of the space.
+    field = field_from_order(131)
+    space = Space(field, 2)
+    assert not space.counts_by_transform(space.hyperplane_normals().size)
+    rng = np.random.RandomState(7)
+    bits = rng.rand(space.size) < 0.5
+    bits[0] = False
+    dense = PointSet(space, bits)
+    holed = PointSet(space, bits & (space.dot_all((3, 1)) != 0))
+    # f = 1 - x_1: f + x_1 = 1 on all of supp(f), so v = (1, 0) fails at once
+    f = DenseTable(field, 2, (1 - space.decode_block(np.arange(space.size))[:, 0]) % 131)
+    tracemalloc.start()
+    try:
+        got = [(is_blocking(p, 1), is_cutting(p, 1), is_ks_blocking(p, 1, 1)) for p in (dense, holed)]
+        got_f = (support_spans(f), shift_vanishes_on_support(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    for pset, (blocked, cut, ks) in zip((dense, holed), got):
+        want = literal_blocking(pset, 1)
+        contained = literal_contained(pset, 1, "vectorial") if want[0] else None
+        assert blocked == want
+        assert cut == literal_span_cutting(pset, 1)
+        assert ks == (want[0] and contained is None, {"missed": want[1], "contained": contained})
+    assert [g[0][0] for g in got] == [True, False]
+    assert got[1][0][1].normal() == space.canonical_representative((3, 1))
+    assert got_f == (literal_support_spans(f), literal_shift(f)) == ((True, None), (False, (1, 0)))
