@@ -20,16 +20,26 @@ Space.hyperplane_normals:
   and every point outside K lies on exactly one of them, so
   sum_a c[g + a.h] = q |S n K| + |S - H_h|. The trace S n H_h lies inside
   some K (and fails to span H_h) exactly when that sum reaches
-  (q - 1) c[h] + |S| for some g. The container of a failing trace is still
-  the first other hyperplane holding its span.
+  (q - 1) c[h] + |S| for some g.
+
+Every other codimension k >= 2 and containment dimension s < n-1 reads
+|S n K| block by block from Space.subspace_blocks, in the same canonical
+order, on whichever side of K is smaller: the sum of the bitmap over K's
+q^d points (d = dim K), or the hyperplane counts summed over the q^(n-d)
+vectors of ann K.
+k >= 2 blocking looks for a count of 0, the exclusion for a count equal to
+all of K, and k >= 2 cutting compares, for every hyperplane of K, the
+points of S on it with the points of S in K (see _first_uncut_subspace).
+These scans stay under _GENERIC_POINT_CAP, checked before any count.
+
 support_spans reads the counts of the function's zero set (in
 theorem_hypotheses the ones already taken), since supp(f) lies in H exactly
 when every point off H is a zero. The shift condition reads the same
 transform of the function's values over its support. Over a large field
 with few hyperplanes, where Space.counts_by_transform finds the transform
-dearer than a scan, the counts come from one dot_all per hyperplane and
-the shift condition keeps its loop over v. Codimension k >= 2 and smaller
-containment dimensions keep the per-subspace scan under _GENERIC_POINT_CAP;
+dearer than a scan, the hyperplane counts come from the points of each
+hyperplane and the shift condition keeps its loop over v. The container
+of a failing trace is the first other subspace holding its span;
 method="pairwise" and hyperplane_pair_oracle remain literal cross-checks.
 """
 
@@ -76,15 +86,50 @@ def _validate(pset: PointSet, k: int, flavor: str):
         raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _iter_subspace_masks(space: Space, d: int):
-    """(subspace, membership bits) in canonical order, under the point cap."""
+def _require_point_cap(space: Space, d: int):
+    """Refuse, before any count, a scan of the d-dimensional subspaces past the cap."""
     if space.subspace_count(d) * space.q**d > _GENERIC_POINT_CAP:
         raise BudgetExceeded(
             f"enumerating {space.subspace_count(d)} subspaces of dimension {d} "
             "exceeds the point cap"
         )
-    for sub in space.subspaces(d):
-        yield sub, sub.point_set().bits
+
+
+def _on_points(space: Space, d: int) -> bool:
+    """Count over K's q^d points rather than the q^(n-d) vectors of ann K?"""
+    return d <= space.n - d
+
+
+def _subspace_counts(pset: PointSet, d: int, width: int = 1):
+    """(start, pivots, enc, |S n K|) per canonical block of d-dim subspaces K.
+
+    enc comes from the smaller side of Space.subspace_blocks. On the points
+    side (see _on_points) the count sums the bitmap over K's q^d points. On the
+    annihilator side (codimension k = n - d) it reads the hyperplane counts
+    c (c[0] = |S|) over the q^k vectors w of ann K: a point of K lies on
+    every H_w and a point off K on q^(k-1) of them, so
+    sum_w c[w] = (q^k - q^(k-1)) |S n K| + q^(k-1) |S|. width scales the
+    block for callers that spend width gathers per vector of enc.
+    """
+    space = pset.space
+    q, k = space.q, space.n - d
+    if _on_points(space, d):
+        for start, pivots, enc in space.subspace_blocks(d, "points", per=q**d * width):
+            yield start, pivots, enc, np.count_nonzero(pset.bits[enc], axis=1)
+        return
+    c = pset.hyperplane_counts()
+    off = q ** (k - 1) * len(pset)
+    for start, pivots, enc in space.subspace_blocks(d, "annihilator", per=q**k * width):
+        yield start, pivots, enc, (c[enc].sum(axis=1) - off) // (q**k - q ** (k - 1))
+
+
+def _first_count(pset: PointSet, d: int, count: int) -> Optional[int]:
+    """Canonical index of the first d-dim subspace K with |S n K| = count."""
+    for start, _, _, hits in _subspace_counts(pset, d):
+        b = _first(hits == count)
+        if b is not None:
+            return start + b
+    return None
 
 
 def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
@@ -104,13 +149,10 @@ def is_blocking(pset: PointSet, k: int, flavor: str = "vectorial"):
     space = pset.space
     if k == 1:
         h = _first(_hyperplane_column(pset) == 0)
-        return (True, None) if h is None else (False, space.hyperplane_basis(h))
-    for sub, members in _iter_subspace_masks(space, space.n - k):
-        hit = pset.bits & members
-        hit[0] = False
-        if not hit.any():
-            return False, sub
-    return True, None
+    else:
+        _require_point_cap(space, space.n - k)
+        h = _first_count(pset, space.n - k, 0)
+    return (True, None) if h is None else (False, space.subspace_basis(space.n - k, h))
 
 
 def _first(flags) -> Optional[int]:
@@ -159,6 +201,46 @@ def _first_uncut_hyperplane(pset: PointSet) -> Optional[int]:
     return stop
 
 
+def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
+    """Canonical index of the first d-dim subspace K (d <= n - 2) the trace does not span.
+
+    The trace S n K fails to span K exactly when it lies in a hyperplane
+    K n H_g of K, with g taken up to scalars over K's pivot coordinates
+    (those g give every hyperplane of K once). On the points side that is
+    |S n K n H_g| = |S n K|. On the annihilator side a point x of S off K
+    lies on q^(k-1) of the hyperplanes H_(g+u), u in ann K, and a point of
+    K on q^k of them if g.x = 0 and on none otherwise, so the trace lies in
+    H_g iff sum_(u in ann K) c[g + u] = sum_(u in ann K) c[u]. A K holding
+    fewer than d points of the set fails without the check, which bounds
+    the scan; blocks are checked in order and the first failure wins.
+    """
+    space = pset.space
+    small = Space(space.field, d)
+    reps = np.concatenate([[0], small.projective_point_encodings()])
+    on_points = _on_points(space, d)
+    if on_points:
+        # on_kernel[l, g]: the combination l of K's rows lies on H_g (g = 0: all of K)
+        on_kernel = np.stack([small.dot_all(small.decode(int(g))) == 0 for g in reps], axis=1)
+        on_kernel = on_kernel.astype(np.int64)
+    else:
+        c = pset.hyperplane_counts()
+        digits = small.decode_block(reps)
+    for start, pivots, enc, hits in _subspace_counts(pset, d, reps.size):
+        stop = _first(hits < d)
+        enc = enc[:stop]
+        if on_points:
+            sums = pset.bits[enc].astype(np.int64) @ on_kernel
+        else:
+            g = digits @ (space.q ** np.array(pivots, dtype=np.int64))
+            sums = c[space.add_encodings(enc[:, None, :], g[None, :, None])].sum(axis=2)
+        b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
+        if b is None:
+            b = stop
+        if b is not None:
+            return start + b
+    return None
+
+
 def _trace_span(pset: PointSet, members: np.ndarray, d: int) -> RowReducer:
     """Row-reduced span of the set's points in members, stopping at rank d."""
     space = pset.space
@@ -198,7 +280,7 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
     if method == "pairwise":
         if space.subspace_count(d) * space.size > _GENERIC_POINT_CAP:
             raise BudgetExceeded("pairwise cutting check only fits small spaces")
-        entries = list(_iter_subspace_masks(space, d))
+        entries = [(sub, sub.point_set().bits) for sub in space.subspaces(d)]
         for sub, members in entries:
             trace = pset.bits & members
             trace[0] = False
@@ -210,17 +292,14 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
         return True, None
     if k == 1:
         h = _first_uncut_hyperplane(pset)
-        if h is None:
-            return True, None
-        sub = space.hyperplane_basis(h)
-        red = _trace_span(pset, space.dot_all(sub.normal()) == 0, d)
-        return False, (sub, _first_container(space, d, [r for _, r in red.rows], sub))
-    for sub, members in _iter_subspace_masks(space, d):
-        red = _trace_span(pset, members, d)
-        if red.rank < d:
-            rows = [r for _, r in red.rows]
-            return False, (sub, _first_container(space, d, rows, sub))
-    return True, None
+    else:
+        _require_point_cap(space, d)
+        h = _first_uncut_subspace(pset, d)
+    if h is None:
+        return True, None
+    sub = space.subspace_basis(d, h)
+    red = _trace_span(pset, sub.point_set().bits, d)
+    return False, (sub, _first_container(space, d, [r for _, r in red.rows], sub))
 
 
 def is_ks_blocking(pset: PointSet, k: int, s: int, flavor: str = "vectorial"):
@@ -256,21 +335,15 @@ def _ks_verdict(pset: PointSet, lin_s: int, flavor: str, blocked: bool, missed):
 def _contained_subspace(pset: PointSet, lin_s: int, flavor: str):
     """First subspace of linear dimension lin_s whose points all lie in the set."""
     space = pset.space
-    if lin_s == space.n - 1:
-        full = space.q**lin_s - 1
-        if flavor == "projective":
-            full //= space.q - 1
-        h = _first(_hyperplane_column(pset) == full)
-        return None if h is None else space.hyperplane_basis(h)
+    full = space.q**lin_s - 1
     if flavor == "projective":
-        relevant = space.projective_mask()
+        full //= space.q - 1
+    if lin_s == space.n - 1:
+        h = _first(_hyperplane_column(pset) == full)
     else:
-        relevant = np.ones(space.size, dtype=bool)
-        relevant[0] = False
-    for sub, members in _iter_subspace_masks(space, lin_s):
-        if not (members & relevant & ~pset.bits).any():
-            return sub
-    return None
+        _require_point_cap(space, lin_s)
+        h = _first_count(pset, lin_s, full)
+    return None if h is None else space.subspace_basis(lin_s, h)
 
 
 def support_spans(f: FunctionSpec):

@@ -5,18 +5,21 @@ is the least significant digit and the nonzero points of the space are
 exactly the encodings 1..q^n-1 in order. Subspaces are enumerated through
 canonical reduced-row-echelon bases, one per subspace, ordered first by
 pivot-column set (lexicographic) and then by the free entries.
+Space.subspace_blocks walks that order in numpy blocks, giving for each
+subspace either its points or the vectors of its annihilator, and
+Space.subspace_basis rebuilds the basis at any position, so a witness read
+from a block is the same subspace the canonical scan would have reported.
 
 Hyperplane counts come from one exact transform instead of a scan per
 hyperplane: Space.shift_counts gives #{x in a set : values[x] + v.x = 0}
 for every v at once, so a point set's column c[v] = |S n H_v| (cached on
 the PointSet) answers every hyperplane question. Space.hyperplane_normals
-lists one normal per hyperplane in the canonical subspaces(n-1) order, and
-Space.hyperplane_basis rebuilds the matching basis, so a witness read from
-the counts is the same subspace the canonical scan would have reported.
+lists one normal per hyperplane in the canonical subspaces(n-1) order.
 The transform costs about n * q^2 steps per count and holds size * q
 entries, so it pays for many counts over a small field; over a large one
 with few hyperplanes (q^2 above their number, or size * q above
-_COUNT_CAP) Space.hyperplane_counts scans each hyperplane with dot_all.
+_COUNT_CAP) Space.hyperplane_counts sums the set over each hyperplane's
+points instead.
 """
 
 from __future__ import annotations
@@ -252,9 +255,10 @@ class Space:
         """Should shift_counts serve `needed` counts, rather than one scan each?
 
         The transform holds size * q histogram entries and spends about
-        n * q^2 steps per encoding v, n * q^(n+2) in all; a direct scan
-        spends about n * size steps on each count it needs. So the
-        transform pays when q^2 < needed and its histogram fits _COUNT_CAP:
+        n * q^2 steps per encoding v, n * q^(n+2) in all; a scan spends
+        about n * q^(n-1) steps on each hyperplane count (its points) and
+        n * size on each shift count. The transform is used when
+        q^2 < needed and its histogram fits _COUNT_CAP:
         many counts over a small field (n >= 3), not the q + 1 lines of a
         plane, nor the shift condition's q^2 - 1 vectors of a plane, which
         its scan may leave at the first failure.
@@ -312,55 +316,35 @@ class Space:
         return self.scan_hyperplane_counts(mask)
 
     def scan_hyperplane_counts(self, mask: np.ndarray) -> np.ndarray:
-        """hyperplane_counts by one dot_all per hyperplane, in O(size) memory;
-        each count is copied to every nonzero multiple of its normal."""
-        normals = self.hyperplane_normals()
-        col = np.array(
-            [np.count_nonzero(mask & (self.dot_all(self.decode(int(w))) == 0)) for w in normals],
-            dtype=np.int64,
-        )
+        """hyperplane_counts from the points of each hyperplane, in O(size) memory.
+
+        subspace_blocks gives every hyperplane's q^(n-1) points and, in step,
+        the q multiples of its normal, each of which receives its count.
+        """
+        n, q = self.n, self.q
         c = np.empty(self.size, dtype=np.int64)
         c[0] = np.count_nonzero(mask)
-        for a in range(1, self.q):
-            c[self.scale_encodings(a, normals)] = col
+        pts = self.subspace_blocks(n - 1, "points", per=q ** (n - 1))
+        ann = self.subspace_blocks(n - 1, "annihilator", per=q ** (n - 1))
+        for (_, _, enc), (_, _, multiples) in zip(pts, ann):
+            c[multiples[:, 1:]] = np.count_nonzero(mask[enc], axis=1)[:, None]
         return c
 
     def hyperplane_normals(self) -> np.ndarray:
         """One normal encoding per hyperplane, in the canonical subspaces(n-1) order.
 
-        The hyperplane whose canonical basis leaves column j free (0-based;
-        j = n-1 first, down to 0) and holds a_i in column j of the row with
-        pivot i < j has the normal (-a_0, ..., -a_(j-1), 1, 0, ..., 0);
-        within one j the tuples (a_0, ..., a_(j-1)) run lexicographically.
+        The annihilator row of subspace_blocks(n - 1): the hyperplane whose
+        canonical basis leaves column j free and holds a_i in column j of the
+        row with pivot i < j has the normal (-a_0, ..., -a_(j-1), 1, 0, ..., 0).
         """
         if self._hyperplane_normals is None:
-            q = self.q
-            ops = ops_for(self.field)
-            parts = []
-            for j in range(self.n - 1, -1, -1):
-                idx = np.arange(q**j, dtype=np.int64)
-                enc = np.full(q**j, q**j, dtype=np.int64)
-                for i in range(j):
-                    a = (idx // q ** (j - 1 - i)) % q
-                    enc += ops.neg(a).astype(np.int64) * q**i
-                parts.append(enc)
-            self._hyperplane_normals = np.concatenate(parts)
+            blocks = self.subspace_blocks(self.n - 1, "annihilator")
+            self._hyperplane_normals = np.concatenate([enc[:, 1] for _, _, enc in blocks])
         return self._hyperplane_normals
 
     def hyperplane_basis(self, index: int) -> "SubspaceBasis":
-        """The hyperplane at position index of subspaces(n-1), from its normal."""
-        w = self.decode(int(self.hyperplane_normals()[index]))
-        j = max(i for i, x in enumerate(w) if x)
-        rows = []
-        for i in range(self.n):
-            if i != j:
-                row = [0] * self.n
-                row[i] = 1
-                if i < j:
-                    row[j] = self.field.neg(w[i])
-                rows.append(tuple(row))
-        pivots = tuple(i for i in range(self.n) if i != j)
-        return SubspaceBasis(self, tuple(rows), pivots)
+        """The hyperplane at position index of subspaces(n-1)."""
+        return self.subspace_basis(self.n - 1, index)
 
     # subspaces ------------------------------------------------------------
     def subspace_count(self, d: int) -> int:
@@ -368,29 +352,95 @@ class Space:
             raise DimensionOutOfRange(f"dimension {d} outside 0..{self.n}")
         return gaussian_binomial(self.n, d, self.q)
 
-    def subspaces(self, d: int):
-        """All d-dimensional subspaces as canonical RREF bases, fixed order."""
+    def _pivot_patterns(self, d: int):
+        """(pivot columns, free entries (row, column)) of the canonical bases, in order."""
         if d < 0 or d > self.n:
             raise DimensionOutOfRange(f"dimension {d} outside 0..{self.n}")
-        n, q = self.n, self.q
-        if d == 0:
-            yield SubspaceBasis(self, (), ())
-            return
+        n = self.n
         for pivots in itertools.combinations(range(n), d):
-            pivot_set = set(pivots)
             free = [
-                (i, c)
-                for i in range(d)
-                for c in range(pivots[i] + 1, n)
-                if c not in pivot_set
+                (i, c) for i in range(d) for c in range(pivots[i] + 1, n) if c not in pivots
             ]
-            for assignment in itertools.product(range(q), repeat=len(free)):
-                rows = [[0] * n for _ in range(d)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, c), val in zip(free, assignment):
-                    rows[i][c] = val
-                yield SubspaceBasis(self, tuple(tuple(r) for r in rows), pivots)
+            yield pivots, free
+
+    def _basis(self, pivots, free, assignment) -> "SubspaceBasis":
+        rows = [[0] * self.n for _ in pivots]
+        for i, p in enumerate(pivots):
+            rows[i][p] = 1
+        for (i, c), val in zip(free, assignment):
+            rows[i][c] = val
+        return SubspaceBasis(self, tuple(tuple(r) for r in rows), pivots)
+
+    def subspaces(self, d: int):
+        """All d-dimensional subspaces as canonical RREF bases, fixed order."""
+        for pivots, free in self._pivot_patterns(d):
+            for assignment in itertools.product(range(self.q), repeat=len(free)):
+                yield self._basis(pivots, free, assignment)
+
+    def subspace_basis(self, d: int, index: int) -> "SubspaceBasis":
+        """The subspace at position index of subspaces(d)."""
+        q = self.q
+        for pivots, free in self._pivot_patterns(d):
+            total = q ** len(free)
+            if index < total:
+                m = len(free)
+                return self._basis(pivots, free, [(index // q ** (m - 1 - j)) % q for j in range(m)])
+            index -= total
+        raise IndexError(f"there are only {self.subspace_count(d)} subspaces of dimension {d}")
+
+    def subspace_blocks(self, d: int, side: str = "points", per: Optional[int] = None):
+        """The d-dimensional subspaces K in blocks, in the subspaces(d) order.
+
+        Yields (start, pivots, enc): row b of enc belongs to the subspace at
+        position start + b, whose canonical basis has pivot columns pivots,
+        and lists the encodings of every GF(q)-combination of r vectors,
+        enc[b, l] = sum_i l_i * row_i where l encodes (l_0, ..., l_(r-1)) in
+        GF(q)^r:
+        - side "points": K's basis rows (r = d), so enc lists the q^d points
+          of K;
+        - side "annihilator": for each non-pivot column f the row
+          w_f = e_f - sum_i rows[i][f] * e_(p_i) (r = n - d), orthogonal to
+          every basis row, so enc lists the q^(n-d) vectors of ann K.
+        A block stays inside one pivot pattern and holds at most
+        _COUNT_CHUNK // per subspaces (per defaults to q^r), at least one.
+        """
+        if side not in ("points", "annihilator"):
+            raise ValueError(f"unknown side {side!r}")
+        q, n = self.q, self.n
+        ops = ops_for(self.field)
+        weight = q ** np.arange(n, dtype=np.int64)
+        start = 0
+        for pivots, free in self._pivot_patterns(d):
+            others = [c for c in range(n) if c not in pivots]
+            # row i has a unit in column units[i]; column coords[c] of the
+            # combination l is the sum of l_i * entry_j over terms[c]
+            if side == "points":
+                units, coords = list(pivots), others
+                terms = [[(i, j) for j, (i, c) in enumerate(free) if c == col] for col in coords]
+            else:
+                units, coords = others, list(pivots)
+                terms = [[(others.index(c), j) for j, (i, c) in enumerate(free) if i == row] for row in range(d)]
+            r, m = len(units), len(free)
+            combo = ops.asarray((np.arange(q**r)[:, None] // q ** np.arange(r)) % q)
+            base = combo.astype(np.int64) @ weight[units]
+            digit = q ** np.arange(m - 1, -1, -1, dtype=np.int64)  # first free entry most significant
+            rows = max(1, _COUNT_CHUNK // (per or q**r))
+            total = q**m
+            for lo in range(0, total, rows):
+                t = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+                enc = np.repeat(base[None, :], t.size, axis=0)
+                for col, pairs in zip(coords, terms):
+                    val = None
+                    for i, j in pairs:
+                        entry = ops.asarray((t // digit[j]) % q)
+                        if side == "annihilator":
+                            entry = ops.neg(entry)
+                        term = ops.mul(combo[None, :, i], entry[:, None])
+                        val = term if val is None else ops.add(val, term)
+                    if val is not None:
+                        enc += val.astype(np.int64) * weight[col]
+                yield start + lo, pivots, enc
+            start += total
 
     def span_dim(self, vectors) -> int:
         red = RowReducer(self.field)

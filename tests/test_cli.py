@@ -356,3 +356,44 @@ def test_order_above_two_to_sixteen_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "--q", "65537", "--r", "2", "--k", "2")
     assert code == 2 and out == ""
     assert err == "error: order 65537 exceeds the largest supported order 65536\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser on the first call and reuses it; a reused parser
+    # must answer exactly like a fresh one, usage errors included
+    import cutcodes.cli as cli
+
+    path = tmp_path / "set.txt"
+    save_point_set(path, zero_set(MonomialBlocks(field_from_order(2), 2, 2), "affine_star"))
+    runs = [
+        ("build", "--q", "2", "--r", "2", "--k", "2", "--json"),
+        ("build", "--family", "polyzero"),
+        ("blocking", "--json", "--cutting", "--k", "2", "--in", str(path)),
+        ("analyze", "--q", "2", "--r", "2", "--k", "2", "--minimality", "nope"),
+        ("blocking", "--k", "1", "--s", "1", "--in", str(path)),
+        ("build", "--q", "3", "--r", "2", "--k", "2"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 2, 0, ("exit", 2), 0, 0]
+    # nothing is built at import
+    done = subprocess.run(
+        [sys.executable, "-c", "import cutcodes.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "0"
