@@ -29,7 +29,6 @@ from cutcodes import (
 )
 from cutcodes.blocking import _subspace_counts
 from cutcodes.cli import main
-from cutcodes.geometry import Space as GeometrySpace
 
 from helpers import literal_blocking, literal_contained, literal_span_cutting, subspace_bits
 
@@ -213,7 +212,7 @@ def test_over_cap_requests_refuse_before_counting(tmp_path, capsys, q, n, flavor
     save_point_set(path, pset)
     argv = ["blocking", "--json", "--cutting", "--k", "2", "--flavor", flavor, "--in", str(path)]
     with mock.patch.multiple(
-        GeometrySpace,
+        Space,
         shift_counts=_refuse_everything,
         hyperplane_counts=_refuse_everything,
         subspace_blocks=_refuse_everything,
