@@ -27,9 +27,10 @@ Every other codimension k >= 2 and containment dimension s < n-1 reads
 order, on whichever side of K is smaller: the sum of the bitmap over K's
 q^d points (d = dim K), or the hyperplane counts summed over the q^(n-d)
 vectors of ann K.
-k >= 2 blocking looks for a count of 0, the exclusion for a count equal to
-all of K, and k >= 2 cutting compares, for every hyperplane of K, the
-points of S on it with the points of S in K (see _first_uncut_subspace).
+k >= 2 blocking looks for a count of 0 and the exclusion for a count equal
+to all of K. k >= 2 cutting always reads the annihilator side: for every
+hyperplane K n H_g of K it compares the hyperplane counts summed over
+g + ann K with those summed over ann K (see _first_uncut_subspace).
 These scans stay under _GENERIC_POINT_CAP, checked before any count.
 
 support_spans reads the counts of the function's zero set (in
@@ -100,20 +101,23 @@ def _on_points(space: Space, d: int) -> bool:
     return d <= space.n - d
 
 
-def _subspace_counts(pset: PointSet, d: int, width: int = 1):
+def _subspace_counts(pset: PointSet, d: int, width: int = 1, side: Optional[str] = None):
     """(start, pivots, enc, |S n K|) per canonical block of d-dim subspaces K.
 
-    enc comes from the smaller side of Space.subspace_blocks. On the points
-    side (see _on_points) the count sums the bitmap over K's q^d points. On the
-    annihilator side (codimension k = n - d) it reads the hyperplane counts
-    c (c[0] = |S|) over the q^k vectors w of ann K: a point of K lies on
-    every H_w and a point off K on q^(k-1) of them, so
-    sum_w c[w] = (q^k - q^(k-1)) |S n K| + q^(k-1) |S|. width scales the
-    block for callers that spend width gathers per vector of enc.
+    enc comes from the given side of Space.subspace_blocks, by default the
+    smaller one (see _on_points). On the points side the count sums the
+    bitmap over K's q^d points. On the annihilator side (codimension
+    k = n - d) it reads the hyperplane counts c (c[0] = |S|) over the q^k
+    vectors w of ann K: a point of K lies on every H_w and a point off K on
+    q^(k-1) of them, so sum_w c[w] = (q^k - q^(k-1)) |S n K| + q^(k-1) |S|.
+    width scales the block for callers that spend width gathers per vector
+    of enc.
     """
     space = pset.space
     q, k = space.q, space.n - d
-    if _on_points(space, d):
+    if side is None:
+        side = "points" if _on_points(space, d) else "annihilator"
+    if side == "points":
         for start, pivots, enc in space.subspace_blocks(d, "points", per=q**d * width):
             yield start, pivots, enc, np.count_nonzero(pset.bits[enc], axis=1)
         return
@@ -206,33 +210,24 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
 
     The trace S n K fails to span K exactly when it lies in a hyperplane
     K n H_g of K, with g taken up to scalars over K's pivot coordinates
-    (those g give every hyperplane of K once). On the points side that is
-    |S n K n H_g| = |S n K|. On the annihilator side a point x of S off K
-    lies on q^(k-1) of the hyperplanes H_(g+u), u in ann K, and a point of
-    K on q^k of them if g.x = 0 and on none otherwise, so the trace lies in
-    H_g iff sum_(u in ann K) c[g + u] = sum_(u in ann K) c[u]. A K holding
-    fewer than d points of the set fails without the check, which bounds
-    the scan; blocks are checked in order and the first failure wins.
+    (those g give every hyperplane of K once). A point x of S off K lies on
+    q^(k-1) of the hyperplanes H_(g+u), u in ann K, and a point of K on q^k
+    of them if g.x = 0 and on none otherwise, so the trace lies in H_g iff
+    sum_(u in ann K) c[g + u] = sum_(u in ann K) c[u] (the column g = 0).
+    A K holding fewer than d points of the set fails without the check,
+    which bounds the scan; blocks are checked in order and the first
+    failure wins.
     """
     space = pset.space
     small = Space(space.field, d)
     reps = np.concatenate([[0], small.projective_point_encodings()])
-    on_points = _on_points(space, d)
-    if on_points:
-        # on_kernel[l, g]: the combination l of K's rows lies on H_g (g = 0: all of K)
-        on_kernel = np.stack([small.dot_all(small.decode(int(g))) == 0 for g in reps], axis=1)
-        on_kernel = on_kernel.astype(np.int64)
-    else:
-        c = pset.hyperplane_counts()
-        digits = small.decode_block(reps)
-    for start, pivots, enc, hits in _subspace_counts(pset, d, reps.size):
+    digits = small.decode_block(reps)
+    c = pset.hyperplane_counts()
+    for start, pivots, enc, hits in _subspace_counts(pset, d, reps.size, "annihilator"):
         stop = _first(hits < d)
         enc = enc[:stop]
-        if on_points:
-            sums = pset.bits[enc].astype(np.int64) @ on_kernel
-        else:
-            g = digits @ (space.q ** np.array(pivots, dtype=np.int64))
-            sums = c[space.add_encodings(enc[:, None, :], g[None, :, None])].sum(axis=2)
+        g = digits @ (space.q ** np.array(pivots, dtype=np.int64))
+        sums = c[space.add_encodings(enc[:, None, :], g[None, :, None])].sum(axis=2)
         b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
         if b is None:
             b = stop

@@ -318,16 +318,21 @@ class Space:
     def scan_hyperplane_counts(self, mask: np.ndarray) -> np.ndarray:
         """hyperplane_counts from the points of each hyperplane, in O(size) memory.
 
-        subspace_blocks gives every hyperplane's q^(n-1) points and, in step,
-        the q multiples of its normal, each of which receives its count.
+        subspace_blocks gives every hyperplane's q^(n-1) points; each count
+        is copied to every nonzero multiple of the hyperplane's normal, for
+        blocks of scalars at a time.
         """
-        n, q = self.n, self.q
+        ops = ops_for(self.field)
+        blocks = self.subspace_blocks(self.n - 1, "points")
+        col = np.concatenate([np.count_nonzero(mask[enc], axis=1) for _, _, enc in blocks])
+        normals = self.hyperplane_normals()
+        digits = ops.asarray(self.decode_block(normals))
         c = np.empty(self.size, dtype=np.int64)
         c[0] = np.count_nonzero(mask)
-        pts = self.subspace_blocks(n - 1, "points", per=q ** (n - 1))
-        ann = self.subspace_blocks(n - 1, "annihilator", per=q ** (n - 1))
-        for (_, _, enc), (_, _, multiples) in zip(pts, ann):
-            c[multiples[:, 1:]] = np.count_nonzero(mask[enc], axis=1)[:, None]
+        rows = max(1, _COUNT_CHUNK // normals.size)
+        for lo in range(1, self.q, rows):
+            lam = ops.asarray(np.arange(lo, min(lo + rows, self.q)))
+            c[self.encode_block(ops.mul(lam[:, None, None], digits[None]))] = col
         return c
 
     def hyperplane_normals(self) -> np.ndarray:

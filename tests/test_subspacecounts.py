@@ -137,6 +137,19 @@ def test_trace_squeezed_into_a_hyperplane_of_k(q, n, k):
     assert is_blocking(pset, k) == (True, None)
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2)])
+def test_every_hyperplane_of_k_is_checked(q, n, k):
+    space = _space(q, n)
+    d = n - k
+    sub = space.subspace_basis(d, space.subspace_count(d) - 1)
+    for g in Space(space.field, d).projective_points():
+        pset = PointSet(space, _allowed(space, "vectorial") & ~_off_hyperplane(sub, g))
+        got = is_cutting(pset, k)
+        assert not got[0] and got[1][0] == sub, g
+        trace = [space.decode(int(e)) for e in np.flatnonzero(pset.bits & subspace_bits(sub))]
+        assert got[1][1] != sub and all(got[1][1].contains(x) for x in trace)
+
+
 @settings(max_examples=20)
 @given(point_sets(SPACES), st.booleans(), st.data())
 def test_either_side_counts_every_subspace(case, points, data):
