@@ -8,34 +8,23 @@ dimension s is handled through the linear subspace of dimension s+1.
 All scans run in the canonical subspace order of Space.subspaces, so
 witnesses are deterministic: always the first failure in that order.
 
-Hyperplane questions (k = 1, and the exclusion of linear dimension n-1)
-read the set's hyperplane counts c[h] = |S n H_h| from one exact transform
-(PointSet.hyperplane_counts), taken in the canonical hyperplane order of
-Space.hyperplane_normals:
-- k = 1 blocking: every c[h] > 0;
-- exclusion: H_h lies inside S when c[h] counts all of its points,
-  q^(n-1) - 1 vectorial or (q^(n-1) - 1)/(q - 1) projective;
-- k = 1 cutting: through each codimension-2 subspace K of H_h pass H_h and
-  the q hyperplanes H_(g + a.h), a in GF(q), for any g outside span(h),
-  and every point outside K lies on exactly one of them, so
-  sum_a c[g + a.h] = q |S n K| + |S - H_h|. The trace S n H_h lies inside
-  some K (and fails to span H_h) exactly when that sum reaches
-  (q - 1) c[h] + |S| for some g.
-
-Every other codimension k >= 2 and containment dimension s < n-1 reads
-|S n K| block by block from Space.subspace_blocks, in the same canonical
-order, on whichever side of K is smaller: the sum of the bitmap over K's
-q^d points (d = dim K), or the hyperplane counts summed over the q^(n-d)
-vectors of ann K.
-k >= 2 blocking looks for a count of 0 and the exclusion for a count equal
-to all of K. k >= 2 cutting always reads the annihilator side: for every
-hyperplane K n H_g of K it compares the hyperplane counts summed over
-g + ann K with those summed over ann K (see _first_uncut_subspace).
-These scans stay under _GENERIC_POINT_CAP, checked before any count.
+Every codimension k and containment dimension s reads |S n K| block by
+block from Space.subspace_blocks, in the same canonical order, on whichever
+side of K is smaller: the sum of the bitmap over K's q^d points (d = dim K),
+or the set's hyperplane counts c[h] = |S n H_h| (PointSet.hyperplane_counts,
+one exact transform) summed over the q^(n-d) vectors of ann K; for a
+hyperplane, ann K = span(h) and the sum reads c[h] itself.
+Blocking looks for a count of 0 and the exclusion for a count equal to all
+of K. Cutting always reads the annihilator side: for every hyperplane
+K n H_g of K it compares the hyperplane counts summed over g + ann K with
+those summed over ann K (see _first_uncut_subspace). Scans of d < n - 1
+stay under _GENERIC_POINT_CAP, checked before any count; hyperplanes are
+exempt.
 
 support_spans reads the counts of the function's zero set (in
 theorem_hypotheses the ones already taken), since supp(f) lies in H exactly
-when every point off H is a zero. The shift condition reads the same
+when every point off H is a zero, and set_dimension reads them too: ann
+span(S) is {v : c[v] = |S|}. The shift condition reads the same
 transform of the function's values over its support. Over a large field
 with few hyperplanes, where Space.counts_by_transform finds the transform
 dearer than a scan, the hyperplane counts come from the points of each
@@ -62,7 +51,7 @@ from .errors import (
     ZeroNormal,
 )
 from .functions import FunctionSpec, scalar_compatible, zero_set
-from .geometry import _COUNT_CHUNK, PointSet, RowReducer, Space, SubspaceBasis
+from .geometry import PointSet, RowReducer, Space, SubspaceBasis
 
 DEFAULT_OP_BUDGET = 4 * 10**9
 
@@ -88,8 +77,12 @@ def _validate(pset: PointSet, k: int, flavor: str):
 
 
 def _require_point_cap(space: Space, d: int):
-    """Refuse, before any count, a scan of the d-dimensional subspaces past the cap."""
-    if space.subspace_count(d) * space.q**d > _GENERIC_POINT_CAP:
+    """Refuse, before any count, a scan of the d-dimensional subspaces past the cap.
+
+    Hyperplanes (d = n - 1) are exempt: their counts are the set's
+    hyperplane counts, taken once from one transform or scan.
+    """
+    if d < space.n - 1 and space.subspace_count(d) * space.q**d > _GENERIC_POINT_CAP:
         raise BudgetExceeded(
             f"enumerating {space.subspace_count(d)} subspaces of dimension {d} "
             "exceeds the point cap"
@@ -137,25 +130,31 @@ def _first_count(pset: PointSet, d: int, count: int) -> Optional[int]:
 
 
 def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
-    """Dimension of the span; projective flavor reports projective dimension."""
+    """Dimension of the span; projective flavor reports projective dimension.
+
+    ann span(S) = {v : c[v] = |S|} has q^(n - dim) vectors. Where the counts
+    would come from a scan of every hyperplane (Space.counts_by_transform
+    is False), the points are row-reduced instead, up to rank n, so that a
+    points-side check does not pay that scan for its dimension alone.
+    """
     space = pset.space
-    red = RowReducer(space.field)
-    for e in pset.encodings():
-        red.absorb(space.decode(int(e)))
-        if red.rank == space.n:
-            break
-    return red.rank - 1 if flavor == "projective" else red.rank
+    if space.counts_by_transform(space.subspace_count(space.n - 1)):
+        ann = int(np.count_nonzero(pset.hyperplane_counts() == len(pset)))
+        dim = space.n
+        while ann > 1:
+            ann //= space.q
+            dim -= 1
+    else:
+        dim = space.span_dim(pset.points())
+    return dim - 1 if flavor == "projective" else dim
 
 
 def is_blocking(pset: PointSet, k: int, flavor: str = "vectorial"):
     """Does the set meet every codimension-k subspace? (verdict, missed one)."""
     _validate(pset, k, flavor)
     space = pset.space
-    if k == 1:
-        h = _first(_hyperplane_column(pset) == 0)
-    else:
-        _require_point_cap(space, space.n - k)
-        h = _first_count(pset, space.n - k, 0)
+    _require_point_cap(space, space.n - k)
+    h = _first_count(pset, space.n - k, 0)
     return (True, None) if h is None else (False, space.subspace_basis(space.n - k, h))
 
 
@@ -164,49 +163,8 @@ def _first(flags) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _hyperplane_column(pset: PointSet) -> np.ndarray:
-    """|S n H| for every hyperplane H, in canonical order."""
-    return pset.hyperplane_counts()[pset.space.hyperplane_normals()]
-
-
-def _first_uncut_hyperplane(pset: PointSet) -> Optional[int]:
-    """Canonical index of the first hyperplane the set's trace does not span.
-
-    Hyperplane h has normal w with w_j = 1 and zeros above j, so the points
-    g with g_j = 0, taken up to scalars, name each codimension-2 subspace
-    H_w n H_g once. Blocks of hyperplanes are checked in order and the scan
-    stops at the first failure; a hyperplane holding fewer than n - 1 points
-    of the set fails without a check, which bounds the scan.
-    """
-    space = pset.space
-    q, n = space.q, space.n
-    c = pset.hyperplane_counts()
-    normals = space.hyperplane_normals()
-    col = c[normals]
-    target = (q - 1) * col + len(pset)
-    stop = _first(col < n - 1)
-    end = normals.size if stop is None else stop
-    points = space.projective_point_encodings()
-    start = 0
-    for j in range(n - 1, -1, -1):
-        lo, start = start, start + q**j
-        if lo >= end:
-            break
-        reps = points[(points // q**j) % q == 0]
-        rows = max(1, _COUNT_CHUNK // (reps.size * q))
-        for b in range(lo, min(start, end), rows):
-            w = normals[b : min(b + rows, start, end)]
-            sums = np.repeat(c[reps][None, :], w.size, axis=0)
-            for a in range(1, q):
-                sums += c[space.add_encodings(reps[None, :], space.scale_encodings(a, w)[:, None])]
-            h = _first((sums == target[b : b + w.size, None]).any(axis=1))
-            if h is not None:
-                return b + h
-    return stop
-
-
 def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
-    """Canonical index of the first d-dim subspace K (d <= n - 2) the trace does not span.
+    """Canonical index of the first d-dim subspace K (d <= n - 1) the trace does not span.
 
     The trace S n K fails to span K exactly when it lies in a hyperplane
     K n H_g of K, with g taken up to scalars over K's pivot coordinates
@@ -214,9 +172,11 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
     q^(k-1) of the hyperplanes H_(g+u), u in ann K, and a point of K on q^k
     of them if g.x = 0 and on none otherwise, so the trace lies in H_g iff
     sum_(u in ann K) c[g + u] = sum_(u in ann K) c[u] (the column g = 0).
-    A K holding fewer than d points of the set fails without the check,
-    which bounds the scan; blocks are checked in order and the first
-    failure wins.
+    For a hyperplane K = H_h (k = 1) that column is (q - 1) c[h] + |S|, and
+    g ranges over the codimension-2 flags of H_h. The sums take one gather
+    per vector u, not a reduction over an axis only q^k long. A K holding
+    fewer than d points of the set fails without the check, which bounds
+    the scan; blocks are checked in order and the first failure wins.
     """
     space = pset.space
     small = Space(space.field, d)
@@ -227,7 +187,9 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
         stop = _first(hits < d)
         enc = enc[:stop]
         g = digits @ (space.q ** np.array(pivots, dtype=np.int64))
-        sums = c[space.add_encodings(enc[:, None, :], g[None, :, None])].sum(axis=2)
+        sums = np.repeat(c[g][None, :], enc.shape[0], axis=0)  # u = 0
+        for u in enc.T[1:]:
+            sums += c[space.add_encodings(u[:, None], g[None, :])]
         b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
         if b is None:
             b = stop
@@ -285,11 +247,8 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
                 if not (trace & ~omembers).any():
                     return False, (sub, other)
         return True, None
-    if k == 1:
-        h = _first_uncut_hyperplane(pset)
-    else:
-        _require_point_cap(space, d)
-        h = _first_uncut_subspace(pset, d)
+    _require_point_cap(space, d)
+    h = _first_uncut_subspace(pset, d)
     if h is None:
         return True, None
     sub = space.subspace_basis(d, h)
@@ -333,11 +292,8 @@ def _contained_subspace(pset: PointSet, lin_s: int, flavor: str):
     full = space.q**lin_s - 1
     if flavor == "projective":
         full //= space.q - 1
-    if lin_s == space.n - 1:
-        h = _first(_hyperplane_column(pset) == full)
-    else:
-        _require_point_cap(space, lin_s)
-        h = _first_count(pset, lin_s, full)
+    _require_point_cap(space, lin_s)
+    h = _first_count(pset, lin_s, full)
     return None if h is None else space.subspace_basis(lin_s, h)
 
 
@@ -347,16 +303,16 @@ def support_spans(f: FunctionSpec):
 
 
 def _support_spans(zeros: PointSet, cone: int):
-    """support_spans from the hyperplane counts of f's zero set.
+    """support_spans from the counts |Z n H| of f's zero set Z.
 
     Each point of zeros stands for `cone` nonzero zeros of f: 1 for the
     affine zero set, q - 1 for the canonical representatives of a cone.
     supp(f) lies in H_v exactly when every point off H_v is a zero, that is
-    when cone * |Z - H_v| = q^n - q^(n-1).
+    when cone * |Z - H_v| = q^n - q^(n-1), or
+    |Z n H_v| = |Z| - q^(n-1) (q - 1) / cone.
     """
     space = zeros.space
-    off = cone * (len(zeros) - _hyperplane_column(zeros))
-    h = _first(off == space.size - space.size // space.q)
+    h = _first_count(zeros, space.n - 1, len(zeros) - (space.size - space.size // space.q) // cone)
     return (True, None) if h is None else (False, space.hyperplane_basis(h).normal())
 
 

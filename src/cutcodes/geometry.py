@@ -9,6 +9,11 @@ Space.subspace_blocks walks that order in numpy blocks, giving for each
 subspace either its points or the vectors of its annihilator, and
 Space.subspace_basis rebuilds the basis at any position, so a witness read
 from a block is the same subspace the canonical scan would have reported.
+An annihilator enumeration of at most _COUNT_CHUNK entries (for instance
+the hyperplanes' q-element lines span(h) in a small space) is built once
+per Space and re-sliced for every caller, so blocking, cutting, the
+exclusion and the hyperplane normals share one build; the points side,
+whose scans often stop at their first block, is built afresh each time.
 
 Hyperplane counts come from one exact transform instead of a scan per
 hyperplane: Space.shift_counts gives #{x in a set : values[x] + v.x = 0}
@@ -103,7 +108,7 @@ class Space:
         self._digit_cols = None
         self._proj_encodings = None
         self._proj_mask = None
-        self._hyperplane_normals = None
+        self._annihilator_blocks = {}  # d -> subspace_blocks(d, "annihilator"), when small
 
     # point encoding -------------------------------------------------------
     def encode(self, coords) -> int:
@@ -311,7 +316,7 @@ class Space:
         From shift_counts when counts_by_transform says it pays for the
         hyperplanes, otherwise from scan_hyperplane_counts.
         """
-        if self.counts_by_transform(self.hyperplane_normals().size):
+        if self.counts_by_transform(self.subspace_count(self.n - 1)):
             return self.shift_counts(mask)
         return self.scan_hyperplane_counts(mask)
 
@@ -342,10 +347,8 @@ class Space:
         canonical basis leaves column j free and holds a_i in column j of the
         row with pivot i < j has the normal (-a_0, ..., -a_(j-1), 1, 0, ..., 0).
         """
-        if self._hyperplane_normals is None:
-            blocks = self.subspace_blocks(self.n - 1, "annihilator")
-            self._hyperplane_normals = np.concatenate([enc[:, 1] for _, _, enc in blocks])
-        return self._hyperplane_normals
+        blocks = self.subspace_blocks(self.n - 1, "annihilator")
+        return np.concatenate([enc[:, 1] for _, _, enc in blocks])
 
     def hyperplane_basis(self, index: int) -> "SubspaceBasis":
         """The hyperplane at position index of subspaces(n-1)."""
@@ -408,9 +411,28 @@ class Space:
           every basis row, so enc lists the q^(n-d) vectors of ann K.
         A block stays inside one pivot pattern and holds at most
         _COUNT_CHUNK // per subspaces (per defaults to q^r), at least one.
+        An annihilator enumeration of at most _COUNT_CHUNK entries is built
+        once per Space, read-only, and re-sliced for every per; the points
+        side is built afresh on each call, so a scan that stops early builds
+        only the blocks it reads.
         """
         if side not in ("points", "annihilator"):
             raise ValueError(f"unknown side {side!r}")
+        if side == "points" or self.subspace_count(d) * self.q ** (self.n - d) > _COUNT_CHUNK:
+            yield from self._build_blocks(d, side, per)
+            return
+        if d not in self._annihilator_blocks:
+            blocks = list(self._build_blocks(d, side))  # one block per pivot pattern
+            for _, _, enc in blocks:
+                enc.flags.writeable = False
+            self._annihilator_blocks[d] = blocks
+        rows = max(1, _COUNT_CHUNK // (per or self.q ** (self.n - d)))
+        for start, pivots, enc in self._annihilator_blocks[d]:
+            for lo in range(0, enc.shape[0], rows):
+                yield start + lo, pivots, enc[lo : lo + rows]
+
+    def _build_blocks(self, d: int, side: str, per: Optional[int] = None):
+        """subspace_blocks, built from the canonical bases' free entries."""
         q, n = self.q, self.n
         ops = ops_for(self.field)
         weight = q ** np.arange(n, dtype=np.int64)

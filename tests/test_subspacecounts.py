@@ -1,13 +1,16 @@
 """Subspace counts in canonical blocks against the per-subspace scans.
 
-k >= 2 blocking and cutting and the (k, s) exclusion below linear dimension
-n-1 read |S n K| from the points of K or from the hyperplane counts over
-ann K (Space.subspace_blocks). These tests compare verdicts and witnesses
-with the literal per-subspace loops in both flavors, plant failures, force
-each side of the points/annihilator choice, and check that over-cap
-requests are refused before any count.
+Blocking and cutting for every k, the (k, s) exclusion and support_spans
+read |S n K| from the points of K or from the hyperplane counts over ann K
+(Space.subspace_blocks). These tests compare verdicts and witnesses with
+the literal per-subspace loops in both flavors, plant failures, force each
+side of the points/annihilator choice, check that over-cap requests are
+refused before any count while hyperplane scans are never capped, check
+the per-Space memo of small annihilator enumerations, and check
+set_dimension against Space.span_dim.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ import cutcodes.blocking
 import cutcodes.geometry
 from cutcodes import (
     BudgetExceeded,
+    MonomialBlocks,
     PointSet,
     Space,
     blocking_report,
@@ -26,8 +30,11 @@ from cutcodes import (
     is_cutting,
     is_ks_blocking,
     save_point_set,
+    set_dimension,
+    theorem_hypotheses,
+    zero_set,
 )
-from cutcodes.blocking import _subspace_counts
+from cutcodes.blocking import _GENERIC_POINT_CAP, _subspace_counts
 from cutcodes.cli import main
 
 from helpers import literal_blocking, literal_contained, literal_span_cutting, subspace_bits
@@ -257,3 +264,90 @@ def test_dense_plane_over_gf1021_reads_lines_from_their_points():
     holed = PointSet(space, bits & ~subspace_bits(line))
     assert is_blocking(holed, 1) == (False, line)
     assert holed.hyperplane_counts()[space.scale_encodings(5, space.hyperplane_normals()[700:701])] == 0
+
+
+# k = 1 and the exclusion of linear dimension n-1 share the route of every
+# other codimension, but hyperplane scans stay outside the point cap.
+
+
+def test_hyperplane_exclusion_is_served_past_the_point_cap():
+    # the 78 vectors of weight 2 in GF(2)^13: every hyperplane meets them
+    # (no normal h has h_i + h_j = 1 for all pairs), they span the even
+    # weight hyperplane, and their trace on x_13 = 0 spans only 11 dimensions
+    space = _space(2, 13)
+    assert space.subspace_count(12) * 2**12 > _GENERIC_POINT_CAP
+    pts = [tuple(int(t in pair) for t in range(13)) for pair in itertools.combinations(range(13), 2)]
+    rep = blocking_report(PointSet.from_points(space, pts), 1, s=12)
+    assert (rep.blocking, rep.cutting, rep.ks_blocking, rep.dimension) == (True, False, True, 12)
+    assert rep.witnesses["trace_subspace"] == space.hyperplane_basis(0).as_lists()
+    assert rep.witnesses["containing_subspace"][-1] == [0] * 11 + [1, 1]
+
+
+@pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (3, 4), (5, 3)])
+def test_memoised_annihilator_blocks_equal_fresh_ones(q, n, chunk):
+    space = _space(q, n)
+    with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", chunk):
+        for d in range(n + 1):
+            for per in (None, 1, q, q ** (n - d) * 3, chunk):
+                for _ in range(2):  # the first call fills the memo, the second reads it
+                    got = list(space.subspace_blocks(d, "annihilator", per))
+                    want = list(space._build_blocks(d, "annihilator", per))
+                    assert [(s, p) for s, p, _ in got] == [(s, p) for s, p, _ in want]
+                    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+            memoised = space.subspace_count(d) * q ** (n - d) <= chunk
+            assert (d in space._annihilator_blocks) == memoised
+
+
+def _count_builds(calls):
+    real = Space._build_blocks
+
+    def counting(self, d, side, per=None):
+        calls.append((self.n, d, side))
+        return real(self, d, side, per)
+
+    return mock.patch.object(Space, "_build_blocks", counting)
+
+
+@pytest.mark.parametrize("q,r,k", [(2, 2, 2), (3, 2, 2), (4, 3, 1)])
+def test_hyperplane_blocks_are_built_once_per_space(q, r, k):
+    f = MonomialBlocks(field_from_order(q), r, k)  # n = r * k >= 3
+    zeros = zero_set(f, "affine_star")
+    n = f.space.n
+    calls = []
+    with _count_builds(calls):
+        assert theorem_hypotheses(f, "affine").to_dict() == theorem_hypotheses(f, "affine").to_dict()
+        blocking_report(zeros, 1, s=n - 1)
+    assert calls.count((n, n - 1, "annihilator")) == 1
+
+
+def test_points_side_is_never_memoised():
+    space = _space(3, 4)
+    calls = []
+    with _count_builds(calls):
+        for d in range(5):
+            for _ in range(2):
+                list(space.subspace_blocks(d, "points"))
+    assert calls == [(4, d, "points") for d in range(5) for _ in range(2)]
+
+
+@st.composite
+def spanned_sets(draw):
+    """Random subsets, possibly empty, of a random subspace, in either flavor."""
+    q, n = draw(st.sampled_from(SPACES + [(131, 2), (47, 3)]))
+    space = _space(q, n)
+    flavor = draw(st.sampled_from(["vectorial", "projective"]))
+    d = draw(st.integers(0, n))
+    sub = space.subspace_basis(d, draw(st.integers(0, space.subspace_count(d) - 1)))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    bits = _allowed(space, flavor) & subspace_bits(sub) & (rng.rand(space.size) < density)
+    return PointSet(space, bits), flavor
+
+
+@settings(max_examples=40)
+@given(spanned_sets())
+def test_set_dimension_equals_span_dim(case):
+    pset, flavor = case
+    want = pset.space.span_dim(pset.points())
+    assert set_dimension(pset, flavor) == (want - 1 if flavor == "projective" else want)
