@@ -23,8 +23,7 @@ exempt.
 
 support_spans reads the counts of the function's zero set (in
 theorem_hypotheses the ones already taken), since supp(f) lies in H exactly
-when every point off H is a zero, and set_dimension reads them too: ann
-span(S) is {v : c[v] = |S|}. The shift condition reads the same
+when every point off H is a zero. The shift condition reads the same
 transform of the function's values over its support. Over a large field
 with few hyperplanes, where Space.counts_by_transform finds the transform
 dearer than a scan, the hyperplane counts come from the points of each
@@ -130,22 +129,8 @@ def _first_count(pset: PointSet, d: int, count: int) -> Optional[int]:
 
 
 def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
-    """Dimension of the span; projective flavor reports projective dimension.
-
-    ann span(S) = {v : c[v] = |S|} has q^(n - dim) vectors. Where the counts
-    would come from a scan of every hyperplane (Space.counts_by_transform
-    is False), the points are row-reduced instead, up to rank n, so that a
-    points-side check does not pay that scan for its dimension alone.
-    """
-    space = pset.space
-    if space.counts_by_transform(space.subspace_count(space.n - 1)):
-        ann = int(np.count_nonzero(pset.hyperplane_counts() == len(pset)))
-        dim = space.n
-        while ann > 1:
-            ann //= space.q
-            dim -= 1
-    else:
-        dim = space.span_dim(pset.points())
+    """Dimension of the span; projective flavor reports projective dimension."""
+    dim = pset.space.span_dim(pset.points())
     return dim - 1 if flavor == "projective" else dim
 
 
@@ -174,7 +159,8 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
     sum_(u in ann K) c[g + u] = sum_(u in ann K) c[u] (the column g = 0).
     For a hyperplane K = H_h (k = 1) that column is (q - 1) c[h] + |S|, and
     g ranges over the codimension-2 flags of H_h. The sums take one gather
-    per vector u, not a reduction over an axis only q^k long. A K holding
+    per vector u, not a reduction over an axis only q^k long, and each
+    block's g is split into digits once (Space.translate). A K holding
     fewer than d points of the set fails without the check, which bounds
     the scan; blocks are checked in order and the first failure wins.
     """
@@ -187,9 +173,10 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
         stop = _first(hits < d)
         enc = enc[:stop]
         g = digits @ (space.q ** np.array(pivots, dtype=np.int64))
+        plus_g = space.translate(g[None, :])
         sums = np.repeat(c[g][None, :], enc.shape[0], axis=0)  # u = 0
         for u in enc.T[1:]:
-            sums += c[space.add_encodings(u[:, None], g[None, :])]
+            sums += c[plus_g(u[:, None])]
         b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
         if b is None:
             b = stop

@@ -6,8 +6,9 @@ read |S n K| from the points of K or from the hyperplane counts over ann K
 the literal per-subspace loops in both flavors, plant failures, force each
 side of the points/annihilator choice, check that over-cap requests are
 refused before any count while hyperplane scans are never capped, check
-the per-Space memo of small annihilator enumerations, and check
-set_dimension against Space.span_dim.
+the per-Space memo of small annihilator enumerations, check that a
+points-side report takes no hyperplane counts, and check set_dimension
+against the annihilator size the hyperplane counts give.
 """
 
 import itertools
@@ -331,10 +332,25 @@ def test_points_side_is_never_memoised():
     assert calls == [(4, d, "points") for d in range(5) for _ in range(2)]
 
 
+def test_points_side_report_takes_no_hyperplane_counts():
+    # d = 2 <= n - d: blocking reads the points of each plane, and the
+    # dimension comes from the points themselves
+    space = _space(3, 6)
+    pset = PointSet.from_points(space, [(1, 0, 0, 0, 0, 0), (0, 1, 2, 0, 0, 0)])
+    with mock.patch.multiple(
+        Space,
+        shift_counts=_refuse_everything,
+        hyperplane_counts=_refuse_everything,
+        scan_hyperplane_counts=_refuse_everything,
+    ):
+        rep = blocking_report(pset, 4, check_cutting=False)
+    assert (rep.blocking, rep.cutting, rep.dimension) == (False, None, 2)
+
+
 @st.composite
 def spanned_sets(draw):
     """Random subsets, possibly empty, of a random subspace, in either flavor."""
-    q, n = draw(st.sampled_from(SPACES + [(131, 2), (47, 3)]))
+    q, n = draw(st.sampled_from(SPACES))
     space = _space(q, n)
     flavor = draw(st.sampled_from(["vectorial", "projective"]))
     d = draw(st.integers(0, n))
@@ -347,7 +363,10 @@ def spanned_sets(draw):
 
 @settings(max_examples=40)
 @given(spanned_sets())
-def test_set_dimension_equals_span_dim(case):
+def test_set_dimension_matches_the_annihilator_size(case):
+    # ann span(S) = {v : c[v] = |S|} holds q^(n - dim) vectors
     pset, flavor = case
-    want = pset.space.span_dim(pset.points())
-    assert set_dimension(pset, flavor) == (want - 1 if flavor == "projective" else want)
+    space = pset.space
+    dim = set_dimension(pset, flavor) + (flavor == "projective")
+    ann = np.count_nonzero(pset.hyperplane_counts() == len(pset))
+    assert space.q ** (space.n - dim) == ann
