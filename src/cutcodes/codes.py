@@ -51,7 +51,8 @@ DEFAULT_PAIR_BUDGET = 10**10
 DEFAULT_WEIGHT_BUDGET = 10**9
 DEFAULT_POINT_CAP = 10**7
 _BLOCK_ELEMS = 1 << 26
-_SCAN_ELEMS = 1 << 14  # message digits per weight-sum block
+_SCAN_ELEMS = 1 << 14  # weight lookups per weight-sum block
+_CONTAIN_WORDS = 1 << 16  # support words per containment block
 
 
 @dataclass
@@ -304,25 +305,34 @@ def _class_blocks(code: LinearCode):
 @dataclass
 class ClassTable:
     """Every class representative in canonical order: its weight, its
-    support as an int (bit j for coordinate j) and its message digits."""
+    support as packed bits and its message digits.
+
+    bits is R x ceil(length / 64) uint64; its bytes are the little-endian
+    packbits of each support (coordinate j is bit j % 8 of byte j // 8),
+    zero past the length.
+    """
 
     weights: np.ndarray
-    supports: list
+    bits: np.ndarray
     messages: np.ndarray
 
 
 def _class_table(code: LinearCode) -> ClassTable:
     """The code's class table, built by one enumeration pass on first use."""
     if code._classes is None:
-        weights = np.empty(code.num_classes, dtype=np.int64)
-        supports = []
+        R = code.num_classes
+        weights = np.empty(R, dtype=np.int64)
+        bits = np.zeros((R, -(-code.length // 64)), dtype=np.uint64)
+        packed = bits.view(np.uint8)
+        row = 0
         for words in _class_blocks(code):
             nz = words != 0
-            weights[len(supports) : len(supports) + len(nz)] = nz.sum(axis=1)
-            packed = np.packbits(nz, axis=1, bitorder="little")
-            supports.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+            weights[row : row + len(nz)] = nz.sum(axis=1)
+            block = np.packbits(nz, axis=1, bitorder="little")
+            packed[row : row + len(nz), : block.shape[1]] = block
+            row += len(nz)
         messages = _class_messages(code.dim, code.field.q, code.ops.dtype)
-        code._classes = ClassTable(weights, supports, messages)
+        code._classes = ClassTable(weights, bits, messages)
     return code._classes
 
 
@@ -355,14 +365,27 @@ class MinimalityReport:
         }
 
 
-def _first_inside(i: int, supports: list, weights: list):
-    """The first class j != i whose support lies inside supp(c_i), or None."""
-    si = supports[i]
-    wi = weights[i]
-    for j, sj in enumerate(supports):
-        if j != i and weights[j] <= wi and sj & si == sj:
-            return j
-    return None
+def _containment_blocks(table: ClassTable):
+    """Yield (i0, hit) over blocks of classes i in canonical order, where
+    hit[b, j] says supp(c_j) lies inside supp(c_i) for i = i0 + b, j != i.
+
+    A block covers rows x R <= _CONTAIN_WORDS pairs (at least one row). The
+    first support word is compared for every pair, each later word only for
+    the pairs still inside.
+    """
+    bits = table.bits
+    R, words = bits.shape
+    rows = max(1, _CONTAIN_WORDS // R)
+    for i0 in range(0, R, rows):
+        i1 = min(R, i0 + rows)
+        b, j = np.nonzero((bits[None, :, 0] & ~bits[i0:i1, None, 0]) == 0)
+        for w in range(1, words):
+            inside = (bits[j, w] & ~bits[i0 + b, w]) == 0
+            b, j = b[inside], j[inside]
+        hit = np.zeros((i1 - i0, R), dtype=bool)
+        hit[b, j] = True
+        hit[np.arange(i1 - i0), np.arange(i0, i1)] = False
+        yield i0, hit
 
 
 def is_minimal_bruteforce(
@@ -375,11 +398,12 @@ def is_minimal_bruteforce(
     """
     require_budgets(code, ("brute",), config)
     table = _class_table(code)
-    supports, weights = table.supports, table.weights.tolist()
-    R = len(weights)
-    for i in range(R):
-        j = _first_inside(i, supports, weights)
-        if j is not None:
+    R = code.num_classes
+    for i0, hit in _containment_blocks(table):
+        hit_rows = np.nonzero(hit.any(axis=1))[0]
+        if hit_rows.size:
+            i = i0 + int(hit_rows[0])
+            j = int(np.argmax(hit[hit_rows[0]]))
             witness = {
                 "container_message": table.messages[i].tolist(),
                 "contained_message": table.messages[j].tolist(),
@@ -388,6 +412,23 @@ def is_minimal_bruteforce(
             pairs = i * (R - 1) + j + (j < i)
             return MinimalityReport(False, "bruteforce", pairs, witness)
     return MinimalityReport(True, "bruteforce", R * (R - 1))
+
+
+def _sum_index_table(ops: FieldOps, q: int, digits: int) -> np.ndarray:
+    """T[x, y] = index of the digitwise field sum of the digit vectors with
+    indices x and y (digit l weighted q^l), over all q^digits vectors each.
+
+    Built digit by digit from the one-digit addition table; the leading
+    q^h x q^h corner is the table for h digits.
+    """
+    elems = np.arange(q, dtype=ops.dtype)
+    one = ops.add(elems[:, None], elems[None, :]).astype(np.int64)
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(digits):
+        # x = x0 + q * x' splits the row index into (x', x0), likewise y
+        size = table.shape[0] * q
+        table = (one[None, :, None, :] + q * table[:, None, :, None]).reshape(size, size)
+    return table
 
 
 def is_minimal_weightsum(
@@ -401,8 +442,10 @@ def is_minimal_weightsum(
     restatement of support containment. c' - a*c has message m' - a*m, so
     each weight is looked up by message index (sum of digit_l * q^l) in a
     q^dim table filled from the class weights and their nonzero multiples.
-    Classes i are scanned in blocks; the witness is the first hit in (i, j)
-    order.
+    The index of m' - a*m comes from its low h = dim // 2 digits and its
+    high dim - h digits, each read from a digitwise-sum table of the two
+    halves' indices. Classes i are scanned in blocks; the witness is the
+    first hit in (i, j) order.
     """
     require_budgets(code, ("weightsum",), config)
     table = _class_table(code)
@@ -411,18 +454,35 @@ def is_minimal_weightsum(
     msgs = table.messages
     wt = table.weights
     R = len(wt)
-    place = q ** np.arange(code.dim, dtype=np.int64)
-    lookup = np.zeros(q**code.dim, dtype=np.int64)
+    if R == 1:
+        # no pairs; the q x q sum table of a one-digit half would outgrow the scan
+        return MinimalityReport(True, "weightsum", 0)
+    dim = code.dim
+    h = dim // 2
+    place = q ** np.arange(dim, dtype=np.int64)
+    lookup = np.zeros(q**dim, dtype=np.int64)
     for a in range(1, q):
         lookup[ops.mul_scalar(a, msgs) @ place] = wt
-    # digits of -a*m_i for every nonzero a and class i, shape (q-1, R, dim)
-    neg_multiples = np.stack([ops.neg(ops.mul_scalar(a, msgs)) for a in range(1, q)])
-    rows = max(1, _SCAN_ELEMS // max(1, (q - 1) * R * code.dim))
+    # index of x + y = sums_lo[x_lo, y_lo] + sums_hi[x_hi, y_hi], both flat
+    sum_table = _sum_index_table(ops, q, dim - h)
+    sums_lo = sum_table[: q**h, : q**h].ravel()
+    sums_hi = (sum_table * q**h).ravel()
+
+    def halves(digits):
+        return digits[..., :h] @ place[:h], digits[..., h:] @ place[: dim - h]
+
+    lo, hi = halves(msgs)
+    # flat row offsets of -a*m_i's halves for every nonzero a and class i,
+    # shape (q-1, R)
+    neg_lo, neg_hi = halves(np.stack([ops.neg(ops.mul_scalar(a, msgs)) for a in range(1, q)]))
+    neg_lo *= q**h
+    neg_hi *= q ** (dim - h)
+    rows = max(1, _SCAN_ELEMS // ((q - 1) * R))
     for i0 in range(0, R, rows):
         i1 = min(R, i0 + rows)
         # weights of c_j - a*c_i for classes i0 <= i < i1, every a and every j
-        diffs = ops.add(msgs[None, None], neg_multiples[:, i0:i1, None])
-        sums = lookup[diffs @ place].sum(axis=0)
+        diffs = sums_lo[neg_lo[:, i0:i1, None] + lo] + sums_hi[neg_hi[:, i0:i1, None] + hi]
+        sums = lookup[diffs].sum(axis=0)
         eq = sums == (q - 1) * wt[None, :] - wt[i0:i1, None]
         eq[np.arange(i1 - i0), np.arange(i0, i1)] = False
         hit_rows = np.nonzero(eq.any(axis=1))[0]
@@ -486,11 +546,10 @@ def minimal_codewords(code: LinearCode, config: Optional[Config] = None) -> list
     """Messages (one per scalar class) of the minimal codewords."""
     require_budgets(code, ("minimal-words",), config)
     table = _class_table(code)
-    supports, weights = table.supports, table.weights.tolist()
     return [
-        tuple(table.messages[i].tolist())
-        for i in range(len(weights))
-        if _first_inside(i, supports, weights) is None
+        tuple(table.messages[i0 + b].tolist())
+        for i0, hit in _containment_blocks(table)
+        for b in np.nonzero(~hit.any(axis=1))[0].tolist()
     ]
 
 

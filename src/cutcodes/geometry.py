@@ -673,11 +673,13 @@ class PointSet:
 
 # file format: header "q n [modulus coeffs, constant first]", then one point
 # per line as n space-separated element codes. '#' starts a comment.
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _data_lines(text: str) -> list:
+    """(line number, text) of every line left after comments and blanks."""
+    return [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
 
 
 def _parse_header(line: str, lineno: int):
@@ -699,32 +701,84 @@ def _parse_header(line: str, lineno: int):
     return Space(field, n)
 
 
+def _row_ints(rows: list):
+    """The whitespace-separated tokens of each row as integers, as int() reads
+    them, up to the first token that is not one.
+
+    Returns the token count of every row, the values in row order (int64,
+    or past that range Python ints in an object array) and how many tokens
+    parsed. Tokens of at most 18 ASCII digits are read in one numpy pass;
+    any other token sends the rows through int() one token at a time.
+    """
+    # rows hold no '#', so a lone '#' token marks each row boundary
+    flat = " ".join(" # ".join(rows).split())
+    chars = np.frombuffer(flat.encode("utf-32-le"), dtype=np.uint32)
+    gap = chars == ord(" ")
+    starts = np.flatnonzero(~gap & np.r_[True, gap[:-1]])
+    ends = np.flatnonzero(~gap & np.r_[gap[1:], True]) + 1
+    mark = (ends - starts == 1) & (chars[starts] == ord("#"))
+    counts = np.bincount(np.cumsum(mark)[~mark], minlength=len(rows))
+    starts, ends = starts[~mark], ends[~mark]
+    width = int((ends - starts).max(initial=0))
+    if width <= 18:
+        # the last `width` characters of every token, left-padded with zeros
+        pos = ends[:, None] - width + np.arange(width)
+        digits = chars[np.maximum(pos, 0)].astype(np.int64) - ord("0")
+        digits[pos < starts[:, None]] = 0
+        if ((digits >= 0) & (digits <= 9)).all():
+            return counts, digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64), len(starts)
+    values = []
+    for token in flat.split(" "):
+        if token != "#":
+            try:
+                values.append(int(token))
+            except ValueError:
+                break
+    return counts, np.array(values, dtype=object), len(values)
+
+
 def parse_point_set(text: str):
-    space = None
-    bits = None
-    seen = 0
-    for lineno, line in _data_lines(text):
-        if space is None:
-            space = _parse_header(line, lineno)
-            bits = np.zeros(space.size, dtype=bool)
-            continue
-        parts = line.split()
-        if len(parts) != space.n:
-            raise ParseError(f"line {lineno}: expected {space.n} coordinates")
-        try:
-            coords = tuple(int(x) for x in parts)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer coordinate") from exc
-        try:
-            e = space.encode(coords)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        if bits[e]:
-            raise ParseError(f"line {lineno}: duplicate point {coords}")
-        bits[e] = True
-        seen += 1
-    if space is None:
+    lines = _data_lines(text)
+    if not lines:
         raise ParseError("empty point-set file")
+    space = _parse_header(lines[0][1], lines[0][0])
+    n, q = space.n, space.q
+    linenos = [lineno for lineno, _ in lines[1:]]
+    counts, values, parsed = _row_ints([line for _, line in lines[1:]])
+    # The first bad line wins; on one line the checks run in the order below
+    # (coordinate count, integer, range, duplicate). Each check reads only the
+    # lines before the earliest failure found so far, which it may move up.
+    count = len(linenos)
+    error = None
+
+    def fail(k, message):
+        nonlocal count, error
+        count, error = k, f"line {linenos[k]}: {message}"
+
+    wrong = np.flatnonzero(counts != n)
+    if wrong.size:
+        fail(int(wrong[0]), f"expected {n} coordinates")
+    if parsed < count * n:
+        fail(parsed // n, "non-integer coordinate")
+    coords = values[: count * n].reshape(count, n)
+    outside = np.flatnonzero(((coords < 0) | (coords >= q)).any(axis=1))
+    if outside.size:
+        k = int(outside[0])
+        # Space.encode reports the last coordinate out of range
+        x = next(x for x in reversed(coords[k].tolist()) if not 0 <= x < q)
+        fail(k, f"coordinate {x} outside 0..{q - 1}")
+    coords = coords[:count].astype(np.int64)
+    enc = coords @ q ** np.arange(n, dtype=np.int64)
+    repeat = np.ones(count, dtype=bool)
+    repeat[np.unique(enc, return_index=True)[1]] = False
+    dup = np.flatnonzero(repeat)
+    if dup.size:
+        k = int(dup[0])
+        fail(k, f"duplicate point {tuple(coords[k].tolist())}")
+    if error is not None:
+        raise ParseError(error)
+    bits = np.zeros(space.size, dtype=bool)
+    bits[enc] = True
     return space, PointSet(space, bits)
 
 

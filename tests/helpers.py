@@ -134,6 +134,45 @@ def class_messages(dim, q):
     return out
 
 
+def _literal_classes(code):
+    """Messages, supports as Python ints (bit j for coordinate j) and weights
+    of every class representative, in canonical order."""
+    msgs = class_messages(code.dim, code.field.q)
+    words = [tuple(int(t) for t in code.word_from_message(m)) for m in msgs]
+    sups = [sum(1 << j for j, v in enumerate(w) if v) for w in words]
+    return msgs, sups, [word_weight(w) for w in words]
+
+
+def _first_inside(i, sups, wts):
+    """The first class j != i whose support lies inside supp(c_i), or None."""
+    for j, sj in enumerate(sups):
+        if j != i and wts[j] <= wts[i] and sj & sups[i] == sj:
+            return j
+    return None
+
+
+def literal_bruteforce(code):
+    """The pair-by-pair support-containment scan over class representatives.
+
+    Returns (minimal, witness, pairs_checked) with the library's conventions:
+    the first (i, j) in row-major order with supp(c_j) inside supp(c_i).
+    """
+    msgs, sups, wts = _literal_classes(code)
+    R = len(msgs)
+    for i in range(R):
+        j = _first_inside(i, sups, wts)
+        if j is not None:
+            witness = {"container_message": msgs[i], "contained_message": msgs[j]}
+            return False, witness, i * (R - 1) + j + (j < i)
+    return True, None, R * (R - 1)
+
+
+def literal_minimal_words(code):
+    """Messages of the classes whose support contains no other class's."""
+    msgs, sups, wts = _literal_classes(code)
+    return [tuple(m) for i, m in enumerate(msgs) if _first_inside(i, sups, wts) is None]
+
+
 def literal_weightsum(code):
     """The weight-sum criterion summed over full codewords.
 

@@ -24,7 +24,13 @@ from cutcodes import (
     weight_distribution,
 )
 from cutcodes.cli import main
-from helpers import literal_weightsum, naive_is_minimal, naive_weight_distribution
+from helpers import (
+    literal_bruteforce,
+    literal_minimal_words,
+    literal_weightsum,
+    naive_is_minimal,
+    naive_weight_distribution,
+)
 
 
 @st.composite
@@ -41,6 +47,10 @@ def raw_codes(draw):
 @given(raw_codes())
 # first weight-sum hit at i = 1: supp(110) inside supp(111)
 @example(LinearCode(field_from_order(2), [[1, 1, 1], [0, 0, 1]]))
+# dim 1: the low half of every message is empty
+@example(LinearCode(field_from_order(3), [[1, 2, 0]]))
+# odd dim over an extension field: one low digit, two high digits
+@example(LinearCode(field_from_order(9), [[1, 0, 0, 1, 3], [0, 1, 0, 5, 1], [0, 0, 1, 7, 8]]))
 def test_weightsum_matches_literal_oracle(code):
     expected = literal_weightsum(code)
     rep = is_minimal_weightsum(code)
@@ -60,6 +70,23 @@ def test_minimal_codewords_agree_with_bruteforce(code):
     assert (len(words) == code.num_classes) is brute.minimal
     if brute.witness is not None:
         assert tuple(brute.witness["container_message"]) not in words
+
+
+@given(raw_codes())
+# first containment hit at i = 0: supp(100) inside supp(111)
+@example(LinearCode(field_from_order(2), [[1, 1, 1], [0, 1, 1]]))
+# two support words; supp(c_1) leaves supp(c_0) only in the second word
+@example(LinearCode(field_from_order(2), [[1] * 64 + [0], [1] + [0] * 63 + [1]]))
+def test_bruteforce_matches_literal_oracle(code):
+    expected = literal_bruteforce(code)
+    words = literal_minimal_words(code)
+    rep = is_minimal_bruteforce(code)
+    assert (rep.minimal, rep.witness, rep.pairs_checked) == expected
+    assert minimal_codewords(code) == words
+    with mock.patch.object(codes, "_CONTAIN_WORDS", 1):  # one class per block
+        rep = is_minimal_bruteforce(code)
+        assert minimal_codewords(code) == words
+    assert (rep.minimal, rep.witness, rep.pairs_checked) == expected
 
 
 def _count_enumerations(monkeypatch):
@@ -120,7 +147,11 @@ def test_split_blocks_keep_class_order(monkeypatch):
     rows = [[1, 0, 2, 1, 0, 1], [0, 1, 1, 2, 2, 0], [2, 2, 0, 1, 1, 1], [0, 0, 1, 1, 2, 2]]
     code = LinearCode(field_from_order(3), rows)
     table = codes._class_table(code)
-    for msg, support, weight in zip(table.messages, table.supports, table.weights):
+    assert table.bits.dtype == np.uint64 and table.bits.shape == (code.num_classes, 1)
+    # bit j of the little-endian bytes is coordinate j; 64 - 6 padding bits
+    unpacked = np.unpackbits(table.bits.view(np.uint8), axis=1, bitorder="little")
+    assert not unpacked[:, code.length :].any()
+    for msg, support, weight in zip(table.messages, unpacked, table.weights):
         word = code.word_from_message(msg)
-        assert support == sum(1 << j for j in np.nonzero(word)[0].tolist())
-        assert bin(support).count("1") == weight
+        assert np.nonzero(support)[0].tolist() == np.nonzero(word)[0].tolist()
+        assert int(support.sum()) == weight

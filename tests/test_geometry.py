@@ -258,6 +258,35 @@ def test_point_set_parse_errors():
         parse_point_set("x 2\n")  # non-integer header
 
 
+# messages frozen from the line-by-line parser; comment and blank lines
+# count toward the line numbers
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n1 0\n# note\n\n1 2 0\n2 2\n", "line 5: expected 2 coordinates"),
+        ("3 2\n1 0\n1 x\n2 2\n", "line 3: non-integer coordinate"),
+        ("3 2\n\u0662 0\n1\u00a01\n0 \u00b2\n", "line 4: non-integer coordinate"),
+        ("3 2\n1 0\n5 7\n2 2\n", "line 3: coordinate 7 outside 0..2"),
+        ("3 2\n+1 0\n0 -1\n", "line 3: coordinate -1 outside 0..2"),
+        ("3 1\n2\n12345678901234567\n0\n", "line 3: coordinate 12345678901234567 outside 0..2"),
+        (
+            "3 2\n1 0\n99999999999999999999 1\n2 x\n",
+            "line 3: coordinate 99999999999999999999 outside 0..2",
+        ),
+        ("3 2\n1 0\n2 2\n+1 0  # same point\n0 1\n", "line 4: duplicate point (1, 0)"),
+        # two errors in one file: the first line wins, whatever the kinds
+        ("3 2\n1 0\n1 0\n0 1\n1.5 0\n", "line 3: duplicate point (1, 0)"),
+        ("3 2\n0 1\n2 3\n1 1\n1\n", "line 3: coordinate 3 outside 0..2"),
+        ("3 2\n0 1\n1\n2 3\n", "line 3: expected 2 coordinates"),
+        ("3 2\n1 1\n1 y\n1 1\n", "line 3: non-integer coordinate"),
+    ],
+)
+def test_point_set_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_point_set(text)
+    assert str(err.value) == message
+
+
 def test_point_set_parse_comments_and_blanks():
     space, pset = parse_point_set("# comment\n2 3\n\n1 0 0\n# another\n0 1 1\n")
     assert space.n == 3
