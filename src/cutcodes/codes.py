@@ -8,14 +8,25 @@ full-rank codes the message digits are exactly (u, v_1, ..., v_n) with u
 least significant in the message index.
 
 Every enumerative route reads one class table per code, filled by a single
-pass over the scalar-class representatives: their weights, packed
-supports and messages. Minimality has three independent routes:
-brute-force support containment over scalar classes, the weight-sum
-criterion (kept as a literal sum, not reduced to set containment; each
-weight wt(c' - a*c) is looked up by the message m' - a*m, not recomputed
-over the full length), and the blocking-set theorem certificate.
+pass over the scalar-class representatives: their weights, their supports
+as one packed uint64 bit matrix, and their messages. Minimality has three
+independent routes:
+
+- brute-force support containment over scalar classes, one numpy kernel
+  shared with minimal_codewords: blocks of classes i against every class
+  j, comparing the first support word of each pair and later words only
+  for the pairs still inside; the brute-force scan stops at the first
+  block with a hit;
+- the weight-sum criterion, kept as a literal sum over a, not reduced to
+  set containment: each weight wt(c' - a*c) is looked up by the message
+  m' - a*m, whose index is read from two digitwise-sum tables over the
+  low and the high half of the message digits;
+- the blocking-set theorem certificate.
+
 Enumerative routes are budget-gated, checked before any work, and fail
-loudly instead of degrading silently.
+loudly instead of degrading silently. The budget formulas still charge the
+pair-by-pair cost per coordinate of the length, not the work these kernels
+do (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ DEFAULT_WEIGHT_BUDGET = 10**9
 DEFAULT_POINT_CAP = 10**7
 _BLOCK_ELEMS = 1 << 26
 _SCAN_ELEMS = 1 << 14  # weight lookups per weight-sum block
-_CONTAIN_WORDS = 1 << 16  # support words per containment block
+_CONTAIN_WORDS = 1 << 16  # class pairs per containment block
 
 
 @dataclass
@@ -375,7 +386,7 @@ def _containment_blocks(table: ClassTable):
     """
     bits = table.bits
     R, words = bits.shape
-    rows = max(1, _CONTAIN_WORDS // R)
+    rows = max(1, _CONTAIN_WORDS // max(1, R))
     for i0 in range(0, R, rows):
         i1 = min(R, i0 + rows)
         b, j = np.nonzero((bits[None, :, 0] & ~bits[i0:i1, None, 0]) == 0)
@@ -454,7 +465,7 @@ def is_minimal_weightsum(
     msgs = table.messages
     wt = table.weights
     R = len(wt)
-    if R == 1:
+    if R <= 1:
         # no pairs; the q x q sum table of a one-digit half would outgrow the scan
         return MinimalityReport(True, "weightsum", 0)
     dim = code.dim

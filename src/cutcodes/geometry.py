@@ -672,7 +672,9 @@ class PointSet:
 
 
 # file format: header "q n [modulus coeffs, constant first]", then one point
-# per line as n space-separated element codes. '#' starts a comment.
+# per line as n space-separated element codes. '#' starts a comment. The
+# points are parsed, range-checked, encoded and checked for repeats in numpy
+# passes over the whole body.
 def _data_lines(text: str) -> list:
     """(line number, text) of every line left after comments and blanks."""
     return [
@@ -707,8 +709,9 @@ def _row_ints(rows: list):
 
     Returns the token count of every row, the values in row order (int64,
     or past that range Python ints in an object array) and how many tokens
-    parsed. Tokens of at most 18 ASCII digits are read in one numpy pass;
-    any other token sends the rows through int() one token at a time.
+    parsed. Tokens of at most five ASCII digits, enough for any element code
+    below 2^16, are read in one numpy pass; any other token sends the rows
+    through int() one token at a time.
     """
     # rows hold no '#', so a lone '#' token marks each row boundary
     flat = " ".join(" # ".join(rows).split())
@@ -720,7 +723,7 @@ def _row_ints(rows: list):
     counts = np.bincount(np.cumsum(mark)[~mark], minlength=len(rows))
     starts, ends = starts[~mark], ends[~mark]
     width = int((ends - starts).max(initial=0))
-    if width <= 18:
+    if width <= 5:
         # the last `width` characters of every token, left-padded with zeros
         pos = ends[:, None] - width + np.arange(width)
         digits = chars[np.maximum(pos, 0)].astype(np.int64) - ord("0")
@@ -764,7 +767,7 @@ def parse_point_set(text: str):
     outside = np.flatnonzero(((coords < 0) | (coords >= q)).any(axis=1))
     if outside.size:
         k = int(outside[0])
-        # Space.encode reports the last coordinate out of range
+        # like Space.encode, report the last coordinate out of range
         x = next(x for x in reversed(coords[k].tolist()) if not 0 <= x < q)
         fail(k, f"coordinate {x} outside 0..{q - 1}")
     coords = coords[:count].astype(np.int64)

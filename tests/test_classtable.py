@@ -89,6 +89,16 @@ def test_bruteforce_matches_literal_oracle(code):
     assert (rep.minimal, rep.witness, rep.pairs_checked) == expected
 
 
+@pytest.mark.parametrize("rows", [np.zeros((2, 3), dtype=int), np.zeros((1, 0), dtype=int)])
+def test_zero_code_has_no_pairs(rows):
+    code = LinearCode(field_from_order(2), rows)
+    assert code.num_classes == 0
+    for scan in (is_minimal_bruteforce, is_minimal_weightsum):
+        rep = scan(code)
+        assert (rep.minimal, rep.witness, rep.pairs_checked) == (True, None, 0)
+    assert minimal_codewords(code) == []
+
+
 def _count_enumerations(monkeypatch):
     calls = []
     original = codes._class_blocks
