@@ -42,6 +42,7 @@ from .field import Field, field_from_order
 _DIGIT_CACHE_LIMIT = 1 << 22
 _COUNT_CHUNK = 1 << 18  # elements per temporary array of the count transform
 _COUNT_CAP = 1 << 22  # histogram entries (size * q) the count transform may hold
+_VECTOR_TOKENS = 160  # point-file tokens below which int() parses faster than numpy
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -703,41 +704,35 @@ def _parse_header(line: str, lineno: int):
     return Space(field, n)
 
 
-def _row_ints(rows: list):
-    """The whitespace-separated tokens of each row as integers, as int() reads
-    them, up to the first token that is not one.
+def _int_tokens(tokens: list):
+    """int() of each token up to the first that is not an integer.
 
-    Returns the token count of every row, the values in row order (int64,
-    or past that range Python ints in an object array) and how many tokens
-    parsed. Tokens of at most five ASCII digits, enough for any element code
-    below 2^16, are read in one numpy pass; any other token sends the rows
-    through int() one token at a time.
+    Returns the values, as int64 or, past that range, as Python ints in an
+    object array, and how many tokens parsed. At least _VECTOR_TOKENS tokens
+    of at most five ASCII digits, enough for any element code below 2^16,
+    are read in one numpy pass; fewer tokens, or any other token, go
+    through int() one at a time.
     """
-    # rows hold no '#', so a lone '#' token marks each row boundary
-    flat = " ".join(" # ".join(rows).split())
-    chars = np.frombuffer(flat.encode("utf-32-le"), dtype=np.uint32)
-    gap = chars == ord(" ")
-    starts = np.flatnonzero(~gap & np.r_[True, gap[:-1]])
-    ends = np.flatnonzero(~gap & np.r_[gap[1:], True]) + 1
-    mark = (ends - starts == 1) & (chars[starts] == ord("#"))
-    counts = np.bincount(np.cumsum(mark)[~mark], minlength=len(rows))
-    starts, ends = starts[~mark], ends[~mark]
-    width = int((ends - starts).max(initial=0))
-    if width <= 5:
-        # the last `width` characters of every token, left-padded with zeros
-        pos = ends[:, None] - width + np.arange(width)
-        digits = chars[np.maximum(pos, 0)].astype(np.int64) - ord("0")
-        digits[pos < starts[:, None]] = 0
-        if ((digits >= 0) & (digits <= 9)).all():
-            return counts, digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64), len(starts)
+    text = " ".join(tokens)
+    if len(tokens) >= _VECTOR_TOKENS and text.isascii():
+        chars = np.frombuffer(text.encode(), dtype=np.uint8)
+        ends = np.append(np.flatnonzero(chars == ord(" ")), chars.size)
+        starts = np.append(0, ends[:-1] + 1)
+        width = int((ends - starts).max())
+        if width <= 5:
+            # the last `width` characters of every token, left-padded with zeros
+            pos = ends[:, None] - width + np.arange(width)
+            digits = chars[np.maximum(pos, 0)].astype(np.int64) - ord("0")
+            digits[pos < starts[:, None]] = 0
+            if ((digits >= 0) & (digits <= 9)).all():
+                return digits @ 10 ** np.arange(width - 1, -1, -1), len(tokens)
     values = []
-    for token in flat.split(" "):
-        if token != "#":
-            try:
-                values.append(int(token))
-            except ValueError:
-                break
-    return counts, np.array(values, dtype=object), len(values)
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            break
+    return np.array(values, dtype=object), len(values)
 
 
 def parse_point_set(text: str):
@@ -747,7 +742,9 @@ def parse_point_set(text: str):
     space = _parse_header(lines[0][1], lines[0][0])
     n, q = space.n, space.q
     linenos = [lineno for lineno, _ in lines[1:]]
-    counts, values, parsed = _row_ints([line for _, line in lines[1:]])
+    parts = [line.split() for _, line in lines[1:]]
+    counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    values, parsed = _int_tokens(list(itertools.chain.from_iterable(parts)))
     # The first bad line wins; on one line the checks run in the order below
     # (coordinate count, integer, range, duplicate). Each check reads only the
     # lines before the earliest failure found so far, which it may move up.
@@ -771,12 +768,12 @@ def parse_point_set(text: str):
         x = next(x for x in reversed(coords[k].tolist()) if not 0 <= x < q)
         fail(k, f"coordinate {x} outside 0..{q - 1}")
     coords = coords[:count].astype(np.int64)
-    enc = coords @ q ** np.arange(n, dtype=np.int64)
-    repeat = np.ones(count, dtype=bool)
-    repeat[np.unique(enc, return_index=True)[1]] = False
-    dup = np.flatnonzero(repeat)
-    if dup.size:
-        k = int(dup[0])
+    enc = coords @ q ** np.arange(n)
+    # a stable sort puts each repeat after the line it repeats
+    order = np.argsort(enc, kind="stable")
+    repeats = order[1:][enc[order[1:]] == enc[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
         fail(k, f"duplicate point {tuple(coords[k].tolist())}")
     if error is not None:
         raise ParseError(error)

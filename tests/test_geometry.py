@@ -15,6 +15,7 @@ from cutcodes import (
     parse_point_set,
     save_point_set,
 )
+import cutcodes.geometry as geometry
 from cutcodes.geometry import format_point_set
 
 
@@ -279,12 +280,26 @@ def test_point_set_parse_errors():
         ("3 2\n0 1\n2 3\n1 1\n1\n", "line 3: coordinate 3 outside 0..2"),
         ("3 2\n0 1\n1\n2 3\n", "line 3: expected 2 coordinates"),
         ("3 2\n1 1\n1 y\n1 1\n", "line 3: non-integer coordinate"),
+        # tokens of different widths
+        ("16 2\n15 3\n3 15\n2 16\n", "line 4: coordinate 16 outside 0..15"),
+        ("16 2\n15 3\n3 15\n15 3\n", "line 4: duplicate point (15, 3)"),
     ],
 )
-def test_point_set_parse_error_messages(text, message):
+@pytest.mark.parametrize("vector_tokens", [0, None])  # numpy digits / the default
+def test_point_set_parse_error_messages(monkeypatch, text, message, vector_tokens):
+    if vector_tokens is not None:
+        monkeypatch.setattr(geometry, "_VECTOR_TOKENS", vector_tokens)
     with pytest.raises(ParseError) as err:
         parse_point_set(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("vector_tokens", [0, None])
+def test_point_set_parse_token_widths(monkeypatch, vector_tokens):
+    if vector_tokens is not None:
+        monkeypatch.setattr(geometry, "_VECTOR_TOKENS", vector_tokens)
+    space, pset = parse_point_set("16 2\n15 3\n3 15\n  10\t00000 # last\n")
+    assert sorted(pset.encodings().tolist()) == [10, 63, 243]
 
 
 def test_point_set_parse_comments_and_blanks():
