@@ -674,8 +674,8 @@ class PointSet:
 
 # file format: header "q n [modulus coeffs, constant first]", then one point
 # per line as n space-separated element codes. '#' starts a comment. The
-# points are parsed, range-checked, encoded and checked for repeats in numpy
-# passes over the whole body.
+# body's coordinates are converted, range-checked, encoded and checked for
+# repeats in numpy passes over all lines at once.
 def _data_lines(text: str) -> list:
     """(line number, text) of every line left after comments and blanks."""
     return [
