@@ -476,8 +476,9 @@ def is_minimal_weightsum(
         lookup[ops.mul_scalar(a, msgs) @ place] = wt
     # index of x + y = sums_lo[x_lo, y_lo] + sums_hi[x_hi, y_hi], both flat
     sum_table = _sum_index_table(ops, q, dim - h)
-    sums_lo = sum_table[: q**h, : q**h].ravel()
-    sums_hi = (sum_table * q**h).ravel()
+    sums_lo = sum_table[: q**h, : q**h].flatten()
+    sum_table *= q**h  # in place: for odd dim it is q times larger than lookup
+    sums_hi = sum_table.ravel()
 
     def halves(digits):
         return digits[..., :h] @ place[:h], digits[..., h:] @ place[: dim - h]
