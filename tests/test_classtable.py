@@ -47,7 +47,7 @@ def raw_codes(draw):
 @given(raw_codes())
 # first weight-sum hit at i = 1: supp(110) inside supp(111)
 @example(LinearCode(field_from_order(2), [[1, 1, 1], [0, 0, 1]]))
-# dim 1: the low half of every message is empty
+# dim 1, the only dim with an empty low half: one class, no pairs
 @example(LinearCode(field_from_order(3), [[1, 2, 0]]))
 # odd dim over an extension field: one low digit, two high digits
 @example(LinearCode(field_from_order(9), [[1, 0, 0, 1, 3], [0, 1, 0, 5, 1], [0, 0, 1, 7, 8]]))
