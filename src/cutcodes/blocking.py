@@ -28,8 +28,11 @@ transform of the function's values over its support. Over a large field
 with few hyperplanes, where Space.counts_by_transform finds the transform
 dearer than a scan, the hyperplane counts come from the points of each
 hyperplane and the shift condition keeps its loop over v. The container
-of a failing trace is the first other subspace holding its span;
-method="pairwise" and hyperplane_pair_oracle remain literal cross-checks.
+of a failing trace is the first other subspace K whose annihilator lies in
+the trace's (see _first_container), read from the same annihilator blocks;
+set_dimension and the trace's basis come from one numpy elimination
+(Space.row_basis). method="pairwise" and hyperplane_pair_oracle remain
+literal cross-checks.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     ZeroNormal,
 )
 from .functions import FunctionSpec, scalar_compatible, zero_set
-from .geometry import PointSet, RowReducer, Space, SubspaceBasis
+from .geometry import PointSet, Space, SubspaceBasis
 
 DEFAULT_OP_BUDGET = 4 * 10**9
 
@@ -130,7 +133,8 @@ def _first_count(pset: PointSet, d: int, count: int) -> Optional[int]:
 
 def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
     """Dimension of the span; projective flavor reports projective dimension."""
-    dim = pset.space.span_dim(pset.points())
+    space = pset.space
+    dim = len(space.row_basis(space.decode_block(pset.encodings())))
     return dim - 1 if flavor == "projective" else dim
 
 
@@ -159,8 +163,9 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
     sum_(u in ann K) c[g + u] = sum_(u in ann K) c[u] (the column g = 0).
     For a hyperplane K = H_h (k = 1) that column is (q - 1) c[h] + |S|, and
     g ranges over the codimension-2 flags of H_h. The sums take one gather
-    per vector u, not a reduction over an axis only q^k long, and each
-    block's g is split into digits once (Space.translate). A K holding
+    per vector u, not a reduction over an axis only q^k long; g depends
+    only on the pivot pattern, so Space.translate takes its digits once per
+    pattern and each u costs a few row takes. A K holding
     fewer than d points of the set fails without the check, which bounds
     the scan; blocks are checked in order and the first failure wins.
     """
@@ -169,12 +174,14 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
     reps = np.concatenate([[0], small.projective_point_encodings()])
     digits = small.decode_block(reps)
     c = pset.hyperplane_counts()
+    last = None
     for start, pivots, enc, hits in _subspace_counts(pset, d, reps.size, "annihilator"):
         stop = _first(hits < d)
         enc = enc[:stop]
-        g = digits @ (space.q ** np.array(pivots, dtype=np.int64))
-        plus_g = space.translate(g[None, :])
-        sums = np.repeat(c[g][None, :], enc.shape[0], axis=0)  # u = 0
+        if pivots != last:  # g depends only on the pivot pattern
+            g = digits @ space.places[list(pivots)]
+            plus_g, at_g, last = space.translate(g[None, :]), c[g], pivots
+        sums = np.repeat(at_g[None, :], enc.shape[0], axis=0)  # u = 0
         for u in enc.T[1:]:
             sums += c[plus_g(u[:, None])]
         b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
@@ -185,26 +192,27 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
     return None
 
 
-def _trace_span(pset: PointSet, members: np.ndarray, d: int) -> RowReducer:
-    """Row-reduced span of the set's points in members, stopping at rank d."""
-    space = pset.space
-    red = RowReducer(space.field)
-    for e in np.nonzero(pset.bits & members)[0]:
-        if e == 0:
-            continue
-        red.absorb(space.decode(int(e)))
-        if red.rank == d:
-            break
-    return red
+def _first_container(pset: PointSet, sub: SubspaceBasis, skip: int) -> SubspaceBasis:
+    """First subspace of sub's dimension, in canonical order, holding the
+    trace S n sub, other than sub itself (at position skip).
 
-
-def _first_container(space: Space, d: int, rows, skip: SubspaceBasis):
-    """First d-dim subspace (canonical order) containing all rows, not skip."""
-    for other in space.subspaces(d):
-        if other == skip:
-            continue
-        if all(other.contains(r) for r in rows):
-            return other
+    A subspace K contains the trace exactly when ann K lies in ann(trace),
+    the vectors orthogonal to the trace's echelon basis (Space.row_basis);
+    the annihilator blocks of subspace_blocks list ann K for every K.
+    """
+    space, d = pset.space, sub.dim
+    points = sub.point_encodings()
+    trace = points[pset.bits[points]]
+    ann = np.ones(space.size, dtype=bool)
+    for row in space.row_basis(space.decode_block(trace)):
+        ann &= space.dot_all(row) == 0
+    for start, _, enc in space.subspace_blocks(d, "annihilator"):
+        inside = ann[enc].all(axis=1)
+        if start <= skip < start + inside.size:
+            inside[skip - start] = False
+        b = _first(inside)
+        if b is not None:
+            return space.subspace_basis(d, start + b)
     raise AssertionError("a low-rank trace always has a second container")
 
 
@@ -239,8 +247,7 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
     if h is None:
         return True, None
     sub = space.subspace_basis(d, h)
-    red = _trace_span(pset, sub.point_set().bits, d)
-    return False, (sub, _first_container(space, d, [r for _, r in red.rows], sub))
+    return False, (sub, _first_container(pset, sub, h))
 
 
 def is_ks_blocking(pset: PointSet, k: int, s: int, flavor: str = "vectorial"):

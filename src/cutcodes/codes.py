@@ -56,7 +56,7 @@ from .functions import (
     scalar_compatible,
     zero_set,
 )
-from .geometry import Space
+from .geometry import Space, sum_index_table
 
 DEFAULT_PAIR_BUDGET = 10**10
 DEFAULT_WEIGHT_BUDGET = 10**9
@@ -425,23 +425,6 @@ def is_minimal_bruteforce(
     return MinimalityReport(True, "bruteforce", R * (R - 1))
 
 
-def _sum_index_table(ops: FieldOps, q: int, digits: int) -> np.ndarray:
-    """T[x, y] = index of the digitwise field sum of the digit vectors with
-    indices x and y (digit l weighted q^l), over all q^digits vectors each.
-
-    Built digit by digit from the one-digit addition table; the leading
-    q^h x q^h corner is the table for h digits.
-    """
-    elems = np.arange(q, dtype=ops.dtype)
-    one = ops.add(elems[:, None], elems[None, :]).astype(np.int64)
-    table = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(digits):
-        # x = x0 + q * x' splits the row index into (x', x0), likewise y
-        size = table.shape[0] * q
-        table = (one[None, :, None, :] + q * table[:, None, :, None]).reshape(size, size)
-    return table
-
-
 def is_minimal_weightsum(
     code: LinearCode, config: Optional[Config] = None
 ) -> MinimalityReport:
@@ -475,7 +458,7 @@ def is_minimal_weightsum(
     for a in range(1, q):
         lookup[ops.mul_scalar(a, msgs) @ place] = wt
     # index of x + y = sums_lo[x_lo, y_lo] + sums_hi[x_hi, y_hi], both flat
-    sum_table = _sum_index_table(ops, q, dim - h)
+    sum_table = sum_index_table(ops, q, dim - h)
     sums_lo = sum_table[: q**h, : q**h].flatten()
     sum_table *= q**h  # in place: for odd dim it is q times larger than lookup
     sums_hi = sum_table.ravel()

@@ -45,6 +45,23 @@ _COUNT_CAP = 1 << 22  # histogram entries (size * q) the count transform may hol
 _VECTOR_TOKENS = 160  # point-file tokens below which int() parses faster than numpy
 
 
+def sum_index_table(ops, q: int, digits: int) -> np.ndarray:
+    """T[x, y] = index of the digitwise field sum of the digit vectors with
+    indices x and y (digit l weighted q^l), over all q^digits vectors each.
+
+    Built digit by digit from the one-digit addition table; the leading
+    q^h x q^h corner is the table for h digits.
+    """
+    elems = np.arange(q, dtype=ops.dtype)
+    one = ops.add(elems[:, None], elems[None, :]).astype(np.int64)
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(digits):
+        # x = x0 + q * x' splits the row index into (x', x0), likewise y
+        size = table.shape[0] * q
+        table = (one[None, :, None, :] + q * table[:, None, :, None]).reshape(size, size)
+    return table
+
+
 def gaussian_binomial(n: int, d: int, q: int) -> int:
     """Number of d-dimensional subspaces of GF(q)^n, exact integer."""
     if d < 0 or d > n:
@@ -59,7 +76,11 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
 
 
 class RowReducer:
-    """Incremental Gaussian elimination over a field; tracks a reduced basis."""
+    """Incremental Gaussian elimination over a field; tracks a reduced basis.
+
+    One vector at a time in Python: the tests' literal oracles use it, while
+    the package's own ranks come from Space.row_basis.
+    """
 
     def __init__(self, field: Field):
         self.field = field
@@ -106,10 +127,12 @@ class Space:
         self.n = n
         self.q = field.q
         self.size = field.q**n
+        self.places = field.q ** np.arange(n, dtype=np.int64)  # q^i, the weight of x_(i+1)
         self._digit_cols = None
         self._proj_encodings = None
         self._proj_mask = None
         self._annihilator_blocks = {}  # d -> subspace_blocks(d, "annihilator"), when small
+        self._sum_tables = {}  # digits -> sum_index_table, for translate
 
     # point encoding -------------------------------------------------------
     def encode(self, coords) -> int:
@@ -145,8 +168,7 @@ class Space:
         return cols
 
     def encode_block(self, digits: np.ndarray) -> np.ndarray:
-        weights = np.array([self.q**i for i in range(self.n)], dtype=np.int64)
-        return digits.astype(np.int64) @ weights
+        return digits.astype(np.int64) @ self.places
 
     # enumeration ----------------------------------------------------------
     def num_affine_points(self) -> int:
@@ -230,7 +252,7 @@ class Space:
     def decode_block(self, enc) -> np.ndarray:
         """Coordinates of an array of encodings, along a new last axis."""
         enc = np.asarray(enc, dtype=np.int64)
-        return (enc[..., None] // self.q ** np.arange(self.n)) % self.q
+        return (enc[..., None] // self.places) % self.q
 
     def add_encodings(self, u, w) -> np.ndarray:
         """Encodings of the vector sums x + y; u and w broadcast together."""
@@ -239,30 +261,63 @@ class Space:
     def translate(self, w):
         """The map u -> encodings of u + w, for arrays u that broadcast with w.
 
-        The coordinates add one at a time through the field's addition
-        table, split from u and w before they broadcast; w is split and the
-        table built once, so a caller adding many u to one w pays for them
-        once. In characteristic 2 the field adds by XOR and q = 2^m gives
-        every coordinate its own bits, so the encodings XOR whole: about 6
-        times faster than the digit route on the k = 1 cutting check of a
-        zero set in GF(2)^10.
+        In characteristic 2 the field adds by XOR and q = 2^m gives every
+        coordinate its own bits, so the encodings XOR whole. Otherwise the
+        coordinates add in groups of n // 2 digits (two groups for even n,
+        three for odd n, the last of one digit), each through one digitwise
+        sum table of q^(2 * width) <= q^n entries (sum_index_table, built
+        once per Space); for n = 1 the encodings are the field elements. For
+        a row w of shape (1, B) and columns u of shape (..., 1), the shape
+        the cutting scan adds one u at a time in, the tables' columns at
+        w's digits are taken once, so each u costs one row take per group.
         """
         w = np.asarray(w, dtype=np.int64)
         if self.field.p == 2:
             return lambda u: np.asarray(u, dtype=np.int64) ^ w
-        el = np.arange(self.q)
-        table = ops_for(self.field).add(el[:, None], el[None, :]).astype(np.int64)
-        tables = [table * self.q**i for i in range(self.n)]
-        wd = self.decode_block(w)
+        if self.n == 1:
+            ops = ops_for(self.field)
+            return lambda u: ops.add(ops.asarray(u), ops.asarray(w)).astype(np.int64)
+        # (table, place of the group's lowest digit, q^width, w's group index)
+        groups = [
+            (self._sum_table(width), self.q**lo, self.q**width, (w // self.q**lo) % self.q**width)
+            for lo, width in self._digit_groups()
+        ]
+
+        def add_any(u):
+            u = np.asarray(u, dtype=np.int64)
+            out = 0
+            for table, place, size, wg in groups:
+                out = out + table[(u // place) % size, wg] * place
+            return out
+
+        if w.ndim != 2 or w.shape[0] != 1:
+            return add_any
+        cols = [table[:, wg[0]] * place for table, place, _, wg in groups]
 
         def add(u):
-            ud = self.decode_block(u)
-            out = tables[0][ud[..., 0], wd[..., 0]]
-            for i in range(1, self.n):
-                out += tables[i][ud[..., i], wd[..., i]]
+            u = np.asarray(u, dtype=np.int64)
+            if u.ndim < 2 or u.shape[-1] != 1:
+                return add_any(u)
+            u = u[..., 0]
+            out = cols[0][u % groups[0][2]]
+            for col, (_, place, size, _) in zip(cols[1:], groups[1:]):
+                out += col[(u // place) % size]
             return out
 
         return add
+
+    def _digit_groups(self) -> list:
+        """(lowest digit, width) of the digit groups translate adds together."""
+        h = self.n // 2
+        return [(0, h), (h, h)] + ([(2 * h, 1)] if self.n % 2 else [])
+
+    def _sum_table(self, width: int) -> np.ndarray:
+        table = self._sum_tables.get(width)
+        if table is None:
+            table = sum_index_table(ops_for(self.field), self.q, width)
+            if self.size <= _DIGIT_CACHE_LIMIT:
+                self._sum_tables[width] = table
+        return table
 
     def scale_encodings(self, lam: int, enc) -> np.ndarray:
         """Encodings of lam * x for an array of encodings x."""
@@ -481,13 +536,40 @@ class Space:
                 yield start + lo, pivots, enc
             start += total
 
-    def span_dim(self, vectors) -> int:
-        red = RowReducer(self.field)
-        for v in vectors:
-            red.absorb(v)
-            if red.rank == self.n:
+    def row_basis(self, vectors) -> np.ndarray:
+        """An echelon basis of the span of vectors (one per row, n coordinates).
+
+        Gaussian elimination column by column over all vectors at once: the
+        first vector with the largest entry in the column, scaled to a unit
+        pivot, becomes a basis row, and its multiples clear the column from
+        every vector, itself included. Prime fields subtract in int64 and
+        reduce mod p only the column read next. Stops once the rank is n.
+        """
+        ops = ops_for(self.field)
+        q, n = self.q, self.n
+        cols = np.asarray(vectors, dtype=np.int64).reshape(-1, n).T.copy()
+        basis = []
+        if not cols.shape[1]:
+            return cols.T
+        for j in range(n):
+            col = cols[j] % q if ops.prime else cols[j]
+            i = int(col.argmax())
+            if not col[i]:
+                continue
+            inv = self.field.inv(int(col[i]))
+            if ops.prime:
+                piv = cols[:, i] * inv % q
+                cols -= piv[:, None] * col  # entries grow by < q^2 a step
+            else:
+                piv = ops.mul_scalar(inv, cols[:, i])
+                cols = ops.sub(cols, ops.mul(piv[:, None], col[None, :]))
+            basis.append(piv)
+            if len(basis) == n:
                 break
-        return red.rank
+        return np.array(basis, dtype=np.int64).reshape(-1, n)
+
+    def span_dim(self, vectors) -> int:
+        return len(self.row_basis(list(vectors)))
 
     def __eq__(self, other):
         return (

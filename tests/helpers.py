@@ -225,6 +225,16 @@ def direct_shift_counts(space, mask, values=None):
     )
 
 
+def literal_span_dim(space, vectors):
+    """Dimension of the span, absorbing the vectors one at a time."""
+    red = RowReducer(space.field)
+    for v in vectors:
+        red.absorb(v)
+        if red.rank == space.n:
+            break
+    return red.rank
+
+
 def literal_blocking(pset, k):
     """First codimension-k subspace holding no nonzero point of the set."""
     space = pset.space

@@ -112,8 +112,18 @@ def test_hyperplane_order_is_canonical(q, n):
         assert space.canonical_representative(space.decode(int(normals[h]))) == sub.normal()
 
 
-@settings(max_examples=30)
-@given(st.sampled_from(SPACES), st.integers(0, 2**31 - 1))
+# the odd-characteristic spaces translate adds in one, two or three digit
+# groups (n = 1, even n, odd n >= 3)
+ODD_SPACES = [(q, n) for q in (3, 5, 7, 9) for n in range(1, 6) if q**n <= 3000]
+
+
+def _digit_sum(space, a, b):
+    x, y = space.decode(int(a)), space.decode(int(b))
+    return space.encode(tuple(space.field.add(i, j) for i, j in zip(x, y)))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(SPACES + ODD_SPACES), st.integers(0, 2**31 - 1))
 def test_vector_arithmetic_on_encodings(qn, seed):
     space = _space(*qn)
     f = space.field
@@ -123,9 +133,27 @@ def test_vector_arithmetic_on_encodings(qn, seed):
     sums = space.add_encodings(u, w)
     scaled = space.scale_encodings(lam, u)
     for a, b, s, m in zip(u, w, sums, scaled):
-        x, y = space.decode(int(a)), space.decode(int(b))
-        assert s == space.encode(tuple(f.add(i, j) for i, j in zip(x, y)))
-        assert m == space.encode(tuple(f.mul(lam, i) for i in x))
+        assert s == _digit_sum(space, a, b)
+        assert m == space.encode(tuple(f.mul(lam, i) for i in space.decode(int(a))))
+    # the cutting scan's block shape: one row of w, columns of u
+    block = space.translate(w[None, :7])(u[:, None])
+    assert block.shape == (20, 7)
+    for a, row in zip(u, block):
+        assert row.tolist() == [_digit_sum(space, a, b) for b in w[:7]]
+
+
+@pytest.mark.parametrize("q,n", ODD_SPACES)
+def test_translate_block_shape_adds_every_pair(q, n):
+    space = _space(q, n)
+    rng = np.random.RandomState(q * n)
+    u = np.append(rng.randint(0, space.size, 30), [0, space.size - 1])
+    w = np.append(rng.randint(0, space.size, 30), [0, space.size - 1])
+    plus_w = space.translate(w[None, :])
+    want = [[_digit_sum(space, a, b) for b in w] for a in u]
+    assert plus_w(u[:, None]).tolist() == want
+    assert plus_w(u[::-1, None]).tolist() == want[::-1]
+    assert space.add_encodings(u[:, None], w[None, :]).tolist() == want
+    assert all(table.size <= space.size for table in space._sum_tables.values())
 
 
 @settings(max_examples=40)

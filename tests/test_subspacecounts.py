@@ -7,7 +7,9 @@ the literal per-subspace loops in both flavors, plant failures, force each
 side of the points/annihilator choice, check that over-cap requests are
 refused before any count while hyperplane scans are never capped, check
 the per-Space memo of small annihilator enumerations, check that a
-points-side report takes no hyperplane counts, and check set_dimension
+points-side report takes no hyperplane counts, check that a failing
+trace's container is the first in canonical order on either side of the
+failure, and check set_dimension against the literal row reduction and
 against the annihilator size the hyperplane counts give.
 """
 
@@ -38,7 +40,13 @@ from cutcodes import (
 from cutcodes.blocking import _GENERIC_POINT_CAP, _subspace_counts
 from cutcodes.cli import main
 
-from helpers import literal_blocking, literal_contained, literal_span_cutting, subspace_bits
+from helpers import (
+    literal_blocking,
+    literal_contained,
+    literal_span_cutting,
+    literal_span_dim,
+    subspace_bits,
+)
 
 # every (q, n) with q^n <= 256 and n >= 3, so that some k in 2..n-1 exists
 SPACES = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(3, 9) if q**n <= 256]
@@ -156,6 +164,33 @@ def test_every_hyperplane_of_k_is_checked(q, n, k):
         assert not got[0] and got[1][0] == sub, g
         trace = [space.decode(int(e)) for e in np.flatnonzero(pset.bits & subspace_bits(sub))]
         assert got[1][1] != sub and all(got[1][1].contains(x) for x in trace)
+
+
+# (q, n, k, basis of K, v, whether the first container of K's trace
+# precedes K in canonical order): the set is every allowed point except
+# those of K off the hyperplane v.x = 0, so the trace on K spans K n H_v.
+CONTAINER_CASES = [
+    (3, 3, 1, [[1, 1, 0], [0, 0, 1]], (2, 0, 0), True),
+    (3, 3, 1, [[1, 0, 0], [0, 0, 1]], (2, 1, 0), False),
+    (2, 4, 1, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], (1, 0, 0, 0), True),
+    (2, 4, 2, [[0, 1, 1, 0], [0, 0, 0, 1]], (1, 1, 0, 0), True),
+    (2, 4, 2, [[1, 0, 0, 0], [0, 0, 0, 1]], (1, 0, 1, 0), False),
+    (3, 4, 2, [[0, 1, 2, 0], [0, 0, 0, 1]], (0, 0, 1, 0), True),
+    (3, 4, 2, [[1, 0, 0, 0], [0, 0, 0, 1]], (1, 2, 0, 0), False),
+]
+
+
+@pytest.mark.parametrize("flavor", ["vectorial", "projective"])
+@pytest.mark.parametrize("q,n,k,rows,v,before", CONTAINER_CASES)
+def test_first_container_on_either_side_of_the_failure(q, n, k, rows, v, before, flavor):
+    space = _space(q, n)
+    subs = list(space.subspaces(n - k))
+    sub = next(s for s in subs if s.as_lists() == rows)
+    bits = _allowed(space, flavor) & ~(subspace_bits(sub) & (space.dot_all(v) != 0))
+    got = is_cutting(PointSet(space, bits), k, flavor)
+    assert got == literal_span_cutting(PointSet(space, bits), k)
+    assert not got[0] and got[1][0] == sub
+    assert (subs.index(got[1][1]) < subs.index(sub)) == before
 
 
 @settings(max_examples=20)
@@ -359,6 +394,29 @@ def spanned_sets(draw):
     density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
     bits = _allowed(space, flavor) & subspace_bits(sub) & (rng.rand(space.size) < density)
     return PointSet(space, bits), flavor
+
+
+@settings(max_examples=60)
+@given(spanned_sets())
+def test_set_dimension_equals_the_literal_span(case):
+    pset, flavor = case
+    want = literal_span_dim(pset.space, pset.points()) - (flavor == "projective")
+    assert set_dimension(pset, flavor) == want
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (5, 3), (9, 3)])
+def test_set_dimension_of_single_points_and_zero_sets(q, n):
+    space = _space(q, n)
+    for flavor in ("vectorial", "projective"):
+        allowed = np.flatnonzero(_allowed(space, flavor))
+        for e in (allowed[0], allowed[-1]):
+            point = PointSet.from_encodings(space, [e])
+            assert set_dimension(point, flavor) == 1 - (flavor == "projective")
+    f = MonomialBlocks(space.field, n // 2, 2) if n % 2 == 0 else MonomialBlocks(space.field, n, 1)
+    for kind, flavor in (("affine_star", "vectorial"), ("projective", "projective")):
+        zeros = zero_set(f, kind)
+        want = literal_span_dim(space, zeros.points()) - (flavor == "projective")
+        assert set_dimension(zeros, flavor) == want
 
 
 @settings(max_examples=40)
