@@ -31,7 +31,7 @@ hyperplane and the shift condition keeps its loop over v. The container
 of a failing trace is the first other subspace K whose annihilator lies in
 the trace's (see _first_container), read from the same annihilator blocks;
 set_dimension and the trace's basis come from one numpy elimination
-(Space.row_basis). method="pairwise" and hyperplane_pair_oracle remain
+(Space.span_basis). method="pairwise" and hyperplane_pair_oracle remain
 literal cross-checks.
 """
 
@@ -133,8 +133,7 @@ def _first_count(pset: PointSet, d: int, count: int) -> Optional[int]:
 
 def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
     """Dimension of the span; projective flavor reports projective dimension."""
-    space = pset.space
-    dim = len(space.row_basis(space.decode_block(pset.encodings())))
+    dim = len(pset.space.span_basis(pset.encodings()))
     return dim - 1 if flavor == "projective" else dim
 
 
@@ -197,14 +196,14 @@ def _first_container(pset: PointSet, sub: SubspaceBasis, skip: int) -> SubspaceB
     trace S n sub, other than sub itself (at position skip).
 
     A subspace K contains the trace exactly when ann K lies in ann(trace),
-    the vectors orthogonal to the trace's echelon basis (Space.row_basis);
+    the vectors orthogonal to the trace's echelon basis (Space.span_basis);
     the annihilator blocks of subspace_blocks list ann K for every K.
     """
     space, d = pset.space, sub.dim
     points = sub.point_encodings()
     trace = points[pset.bits[points]]
     ann = np.ones(space.size, dtype=bool)
-    for row in space.row_basis(space.decode_block(trace)):
+    for row in space.span_basis(trace):
         ann &= space.dot_all(row) == 0
     for start, _, enc in space.subspace_blocks(d, "annihilator"):
         inside = ann[enc].all(axis=1)

@@ -29,6 +29,7 @@ points instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from pathlib import Path
 from typing import Iterable, Optional
@@ -79,7 +80,7 @@ class RowReducer:
     """Incremental Gaussian elimination over a field; tracks a reduced basis.
 
     One vector at a time in Python: the tests' literal oracles use it, while
-    the package's own ranks come from Space.row_basis.
+    the package's own ranks come from Space.span_basis.
     """
 
     def __init__(self, field: Field):
@@ -127,7 +128,6 @@ class Space:
         self.n = n
         self.q = field.q
         self.size = field.q**n
-        self.places = field.q ** np.arange(n, dtype=np.int64)  # q^i, the weight of x_(i+1)
         self._digit_cols = None
         self._proj_encodings = None
         self._proj_mask = None
@@ -135,6 +135,11 @@ class Space:
         self._sum_tables = {}  # digits -> sum_index_table, for translate
 
     # point encoding -------------------------------------------------------
+    @functools.cached_property
+    def places(self) -> np.ndarray:
+        """q^i, the weight of coordinate x_(i+1) in an encoding."""
+        return self.q ** np.arange(self.n, dtype=np.int64)
+
     def encode(self, coords) -> int:
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
@@ -536,21 +541,23 @@ class Space:
                 yield start + lo, pivots, enc
             start += total
 
-    def row_basis(self, vectors) -> np.ndarray:
-        """An echelon basis of the span of vectors (one per row, n coordinates).
+    def span_basis(self, enc) -> np.ndarray:
+        """An echelon basis (one row of n coordinates each) of the span of the
+        points with encodings enc.
 
-        Gaussian elimination column by column over all vectors at once: the
-        first vector with the largest entry in the column, scaled to a unit
+        Gaussian elimination column by column over all points at once: the
+        first point with the largest entry in the column, scaled to a unit
         pivot, becomes a basis row, and its multiples clear the column from
-        every vector, itself included. Prime fields subtract in int64 and
-        reduce mod p only the column read next. Stops once the rank is n.
+        every point, itself included. Prime fields subtract in int64 and
+        reduce mod p only the column read next; in characteristic 2 element
+        codes subtract by XOR. Stops once the rank is n.
         """
         ops = ops_for(self.field)
         q, n = self.q, self.n
-        cols = np.asarray(vectors, dtype=np.int64).reshape(-1, n).T.copy()
+        cols = (np.asarray(enc, dtype=np.int64)[None, :] // self.places[:, None]) % q
         basis = []
         if not cols.shape[1]:
-            return cols.T
+            return np.zeros((0, n), dtype=np.int64)
         for j in range(n):
             col = cols[j] % q if ops.prime else cols[j]
             i = int(col.argmax())
@@ -562,14 +569,18 @@ class Space:
                 cols -= piv[:, None] * col  # entries grow by < q^2 a step
             else:
                 piv = ops.mul_scalar(inv, cols[:, i])
-                cols = ops.sub(cols, ops.mul(piv[:, None], col[None, :]))
+                if self.field.p == 2:
+                    cols ^= ops.mul(piv[:, None], col[None, :])
+                else:
+                    cols = ops.sub(cols, ops.mul(piv[:, None], col[None, :]))
             basis.append(piv)
             if len(basis) == n:
                 break
         return np.array(basis, dtype=np.int64).reshape(-1, n)
 
     def span_dim(self, vectors) -> int:
-        return len(self.row_basis(list(vectors)))
+        digits = np.array(list(vectors), dtype=np.int64).reshape(-1, self.n)
+        return len(self.span_basis(self.encode_block(digits)))
 
     def __eq__(self, other):
         return (
