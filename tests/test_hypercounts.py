@@ -112,8 +112,8 @@ def test_hyperplane_order_is_canonical(q, n):
         assert space.canonical_representative(space.decode(int(normals[h]))) == sub.normal()
 
 
-# the odd-characteristic spaces translate adds in one, two or three digit
-# groups (n = 1, even n, odd n >= 3)
+# odd-characteristic spaces: translate adds field elements for n = 1 and
+# otherwise two (even n) or three (odd n >= 3) groups of digits
 ODD_SPACES = [(q, n) for q in (3, 5, 7, 9) for n in range(1, 6) if q**n <= 3000]
 
 
@@ -152,7 +152,8 @@ def test_translate_block_shape_adds_every_pair(q, n):
     want = [[_digit_sum(space, a, b) for b in w] for a in u]
     assert plus_w(u[:, None]).tolist() == want
     assert plus_w(u[::-1, None]).tolist() == want[::-1]
-    assert space.add_encodings(u[:, None], w[None, :]).tolist() == want
+    # any other shape broadcasts through the whole tables
+    assert space.add_encodings(u[None, :], w[:, None]).T.tolist() == want
     assert all(table.size <= space.size for table in space._sum_tables.values())
 
 
