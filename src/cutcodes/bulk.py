@@ -1,23 +1,21 @@
-"""Vectorized field arithmetic on arrays of element codes.
+"""Vectorized field arithmetic on arrays of element codes, and row reduction.
 
-Prime fields use modular integer arithmetic directly; extension fields of
-order up to 1024 gather through dense q x q tables built once per field.
-Larger extension orders fall back to a slow elementwise path, correct but
-not meant for hot loops.
+Prime fields use modular integer arithmetic. Extension fields, GF(4) to
+GF(2^16) alike, gather through tables of about q entries made from the
+field's log/antilog tables. A product is exp[log[a] + log[b]], where
+log[0] = 2(q - 1) puts every zero factor in exp's zero half. A sum is XOR
+in characteristic 2, and otherwise fold[spread[a] + spread[b]]: spread
+places digit l at (2p - 1)^l, so the sum has no carries, and fold, built
+one digit at a time, reduces each digit mod p.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .field import Field
-
-_DENSE_LIMIT = 1024
-
-
-def _dtype_for(q: int):
-    # Field refuses orders above 2^16
-    return np.uint8 if q <= 256 else np.uint16
 
 
 class FieldOps:
@@ -25,28 +23,28 @@ class FieldOps:
 
     def __init__(self, field: Field):
         self.field = field
-        self.q = field.q
-        self.p = field.p
+        self.q = q = field.q
+        self.p = p = field.p
         self.prime = field.m == 1
-        self.dtype = _dtype_for(field.q)
-        self.add_table = None
-        self.mul_table = None
-        self.neg_table = None
-        if not self.prime and field.q <= _DENSE_LIMIT:
-            q = field.q
-            add = np.empty((q, q), dtype=self.dtype)
-            mul = np.empty((q, q), dtype=self.dtype)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = field.add(a, b)
-                    mul[a, b] = field.mul(a, b)
-            self.add_table = add
-            self.mul_table = mul
-            self.neg_table = np.array([field.neg(a) for a in range(q)], dtype=self.dtype)
-        elif not self.prime:
-            self._uadd = np.frompyfunc(field.add, 2, 1)
-            self._umul = np.frompyfunc(field.mul, 2, 1)
-            self._uneg = np.frompyfunc(field.neg, 1, 1)
+        self.dtype = np.uint8 if q <= 256 else np.uint16  # Field refuses q > 2^16
+        if self.prime:
+            return
+        top = 2 * (q - 1)
+        self._log = np.array(field._log, dtype=np.intp)
+        self._log[0] = top
+        self._exp = np.zeros(2 * top + 1, dtype=self.dtype)
+        self._exp[:top] = field._exp
+        self._neg = self._exp[self._log + self._log[p - 1]]  # times -1, the code p - 1
+        if p == 2:
+            return
+        wide = 2 * p - 1
+        self._spread = np.zeros(1, dtype=np.intp)
+        self._fold = np.zeros(1, dtype=self.dtype)
+        for l in range(field.m):
+            # a code s + t * p^l has digit t at place l
+            self._spread = (self._spread[None, :] + (np.arange(p) * wide**l)[:, None]).ravel()
+            digit = (np.arange(wide) % p * p**l).astype(self.dtype)
+            self._fold = (self._fold[None, :] + digit[:, None]).ravel()
 
     def asarray(self, values) -> np.ndarray:
         return np.asarray(values, dtype=self.dtype)
@@ -54,16 +52,14 @@ class FieldOps:
     def add(self, a, b) -> np.ndarray:
         if self.prime:
             return ((a.astype(np.int64) + b) % self.p).astype(self.dtype)
-        if self.add_table is not None:
-            return self.add_table[a, b]
-        return self._uadd(a, b).astype(self.dtype)
+        if self.p == 2:
+            return a ^ b
+        return self._fold.take(self._spread.take(a) + self._spread.take(b))
 
     def neg(self, a) -> np.ndarray:
         if self.prime:
             return ((-a.astype(np.int64)) % self.p).astype(self.dtype)
-        if self.neg_table is not None:
-            return self.neg_table[a]
-        return self._uneg(a).astype(self.dtype)
+        return self._neg.take(a)
 
     def sub(self, a, b) -> np.ndarray:
         return self.add(a, self.neg(np.asarray(b, dtype=self.dtype)))
@@ -71,33 +67,56 @@ class FieldOps:
     def mul(self, a, b) -> np.ndarray:
         if self.prime:
             return ((a.astype(np.int64) * b) % self.p).astype(self.dtype)
-        if self.mul_table is not None:
-            return self.mul_table[a, b]
-        return self._umul(a, b).astype(self.dtype)
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def mul_scalar(self, lam: int, a) -> np.ndarray:
-        """lam * a for a single field scalar lam; one-row gather when tabled."""
+        """lam * a for a single field scalar lam; one q-entry row, then a gather."""
         if self.prime:
             return ((int(lam) * a.astype(np.int64)) % self.p).astype(self.dtype)
-        if self.mul_table is not None:
-            return self.mul_table[int(lam)][a]
-        return self._umul(lam, a).astype(self.dtype)
+        return self._exp.take(self._log + self._log[int(lam)]).take(a)
 
     def add_scalar(self, lam: int, a) -> np.ndarray:
-        if self.prime:
-            return ((int(lam) + a.astype(np.int64)) % self.p).astype(self.dtype)
-        if self.add_table is not None:
-            return self.add_table[int(lam)][a]
-        return self._uadd(lam, a).astype(self.dtype)
+        return self.add(a, int(lam))
 
 
-_ops_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def ops_for(field: Field) -> FieldOps:
-    key = (field.p, field.m, field.modulus)
-    got = _ops_cache.get(key)
-    if got is None:
-        got = FieldOps(field)
-        _ops_cache[key] = got
-    return got
+    return FieldOps(field)
+
+
+def echelon(ops: FieldOps, rows) -> list:
+    """Gaussian elimination on a copy of the 2d array rows, top to bottom.
+
+    Row j, reduced by the pivots above it, is independent of the rows above
+    exactly when it is nonzero. Its pivot is the first column holding its
+    largest entry, and it clears that column from the rows below whose
+    coefficient there is nonzero, and only from those. Prime fields work in
+    int64, where a step moves an entry by less than p^2, reduce mod p only
+    the row read next, and update one row at a time in place, which beats
+    a gather of the rows there; extension fields update the rows together.
+
+    Returns [(j, factors)] for the independent rows j in order; factors[i]
+    is the multiple of row j subtracted from row j + 1 + i, that row's
+    pivot-column entry over row j's.
+    """
+    work = np.array(rows, dtype=np.int64 if ops.prime else ops.dtype)
+    out = []
+    for j in range(len(work) if work.size else 0):
+        row = work[j] % ops.p if ops.prime else work[j]
+        pivot = row.argmax()
+        lead = int(row[pivot])
+        if not lead:
+            continue
+        inv = ops.field.inv(lead)
+        below = work[j + 1 :]
+        if ops.prime:
+            factors = below[:, pivot] * inv % ops.p
+            for i in factors.nonzero()[0]:
+                below[i] -= factors[i] * row
+        else:
+            factors = ops.mul(inv, below[:, pivot])
+            hit = factors.nonzero()[0]
+            if hit.size:
+                below[hit] = ops.add(below[hit], ops.mul(ops.neg(factors[hit])[:, None], row))
+        out.append((j, factors))
+    return out

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .blocking import require_hypothesis_budget, theorem_hypotheses
-from .bulk import FieldOps, ops_for
+from .bulk import FieldOps, echelon, ops_for
 from .errors import (
     BudgetExceeded,
     CutcodesError,
@@ -140,7 +140,7 @@ class LinearCode:
         self.columns = columns
         self.ambient_n = ambient_n
         self.function = function
-        self.basis_indices = _independent_rows(self.ops, self.rows)
+        self.basis_indices = [j for j, _ in echelon(self.ops, self.rows)]
         self.basis = self.rows[self.basis_indices]
         self.dim = len(self.basis_indices)
         self._classes = None  # ClassTable, filled on first use
@@ -192,26 +192,6 @@ class LinearCode:
             f"LinearCode[{self.length},{self.dim}] over GF({self.field.q}), "
             f"mode={self.mode}"
         )
-
-
-def _independent_rows(ops: FieldOps, rows: np.ndarray) -> list:
-    """Greedy pivot selection; returns indices of an independent subset."""
-    field = ops.field
-    reduced = []
-    picked = []
-    for idx in range(rows.shape[0]):
-        r = rows[idx].copy()
-        for pc, rr in reduced:
-            c = int(r[pc])
-            if c:
-                r = ops.sub(r, ops.mul_scalar(c, rr))
-        nz = np.nonzero(r)[0]
-        if nz.size:
-            pc = int(nz[0])
-            rr = ops.mul_scalar(field.inv(int(r[pc])), r)
-            reduced.append((pc, rr))
-            picked.append(idx)
-    return picked
 
 
 def _structured_rows(f: FunctionSpec, encodings: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ construction time.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
@@ -271,7 +273,13 @@ class Field:
 
 
 def field_from_order(q: int, modulus=None) -> Field:
-    """Build GF(q), factoring q = p^m; rejects non prime powers."""
+    """GF(q), factoring q = p^m; rejects non prime powers. Built once per
+    (q, modulus) and shared, as nothing changes a Field; refusals raise every time."""
+    return _field_from_order(q, None if modulus is None else tuple(modulus))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_from_order(q: int, modulus) -> Field:
     if q < 2:
         raise UnsupportedOrder(f"order {q} is not a prime power")
     _require_order(q)

@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bulk import ops_for
+from .bulk import echelon, ops_for
 from .errors import BudgetExceeded, DimensionOutOfRange, ParseError, ZeroNormal
 from .field import Field, field_from_order
 
@@ -80,7 +80,7 @@ class RowReducer:
     """Incremental Gaussian elimination over a field; tracks a reduced basis.
 
     One vector at a time in Python: the tests' literal oracles use it, while
-    the package's own ranks come from Space.span_basis.
+    the package's own ranks come from bulk.echelon.
     """
 
     def __init__(self, field: Field):
@@ -545,38 +545,18 @@ class Space:
         """An echelon basis (one row of n coordinates each) of the span of the
         points with encodings enc.
 
-        Gaussian elimination column by column over all points at once: the
-        first point with the largest entry in the column, scaled to a unit
-        pivot, becomes a basis row, and its multiples clear the column from
-        every point, itself included. Prime fields subtract in int64 and
-        reduce mod p only the column read next; in characteristic 2 element
-        codes subtract by XOR. Stops once the rank is n.
+        bulk.echelon reduces the n x len(enc) matrix of coordinates, one row
+        per coordinate. For each pivot, the reduced point there, scaled to 1
+        in the pivot's coordinate j, is a basis row: zero before j and the
+        elimination's factors after it.
         """
-        ops = ops_for(self.field)
-        q, n = self.q, self.n
-        cols = (np.asarray(enc, dtype=np.int64)[None, :] // self.places[:, None]) % q
-        basis = []
-        if not cols.shape[1]:
-            return np.zeros((0, n), dtype=np.int64)
-        for j in range(n):
-            col = cols[j] % q if ops.prime else cols[j]
-            i = int(col.argmax())
-            if not col[i]:
-                continue
-            inv = self.field.inv(int(col[i]))
-            if ops.prime:
-                piv = cols[:, i] * inv % q
-                cols -= piv[:, None] * col  # entries grow by < q^2 a step
-            else:
-                piv = ops.mul_scalar(inv, cols[:, i])
-                if self.field.p == 2:
-                    cols ^= ops.mul(piv[:, None], col[None, :])
-                else:
-                    cols = ops.sub(cols, ops.mul(piv[:, None], col[None, :]))
-            basis.append(piv)
-            if len(basis) == n:
-                break
-        return np.array(basis, dtype=np.int64).reshape(-1, n)
+        cols = (np.asarray(enc, dtype=np.int64)[None, :] // self.places[:, None]) % self.q
+        steps = echelon(ops_for(self.field), cols)
+        basis = np.zeros((len(steps), self.n), dtype=np.int64)
+        for row, (j, factors) in zip(basis, steps):
+            row[j] = 1
+            row[j + 1 :] = factors
+        return basis
 
     def span_dim(self, vectors) -> int:
         digits = np.array(list(vectors), dtype=np.int64).reshape(-1, self.n)

@@ -235,6 +235,13 @@ def literal_span_dim(space, vectors):
     return red.rank
 
 
+def literal_independent_rows(field, rows):
+    """Greedy basis selection, one row at a time: the indices of the rows
+    independent of the rows before them."""
+    red = RowReducer(field)
+    return [i for i, row in enumerate(rows) if red.absorb([int(x) for x in row])]
+
+
 def literal_blocking(pset, k):
     """First codimension-k subspace holding no nonzero point of the set."""
     space = pset.space

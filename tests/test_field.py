@@ -179,3 +179,18 @@ def test_orders_above_two_to_sixteen_refused():
     field = field_from_order(65521)
     assert field.mul(field.inv(12345), 12345) == 1
     assert field.pow(3, -1) == field.inv(3)
+
+
+def test_each_field_is_built_once():
+    assert field_from_order(9) is field_from_order(9)
+    assert field_from_order(9, [2, 2, 1]) is field_from_order(9, (2, 2, 1))
+    assert field_from_order(9, [2, 2, 1]) != field_from_order(9)
+    assert field_from_order(7) is field_from_order(7)
+    # refusals are not remembered: they raise on every call
+    for _ in range(2):
+        with pytest.raises(UnsupportedOrder):
+            field_from_order(12)
+        with pytest.raises(ReducibleModulus):
+            field_from_order(4, [1, 0, 1])
+        with pytest.raises(ValueError):
+            field_from_order(5, [1, 1])
