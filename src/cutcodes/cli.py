@@ -30,7 +30,7 @@ from .codes import (
     load_generator_matrix,
     require_budgets,
     survey_family,
-    weight_distribution,
+    weight_distribution,  # noqa: F401 -- not called here; perfbench/selftest.py checks the tracer rebinds it in this module
     write_generator_matrix,
 )
 from .errors import (
@@ -98,23 +98,40 @@ def _config_from(args) -> Config:
     return cfg
 
 
+def _parse_ints(text: str, flag: str) -> list:
+    try:
+        return [int(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError(f"{flag} takes integers, got {text!r}") from None
+
+
 def _parse_modulus(text: Optional[str]):
-    if not text:
-        return None
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    return tuple(_parse_ints(text, "--modulus")) if text else None
 
 
 def _parse_alphas(text: Optional[str]):
-    if not text:
-        return None
-    return [int(t) for t in text.replace(",", " ").split()]
+    return _parse_ints(text, "--alphas") if text else None
 
 
 def _parse_r_range(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        return _parse_ints(text, "--r")
+    try:
         return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError(f"--r takes A..B or a comma list, got {text!r}") from None
+
+
+def _checked(build, *args):
+    """build(*args), with a plain ValueError (a bad parameter) raised as a
+    usage error; the package's own errors keep their exit codes."""
+    try:
+        return build(*args)
+    except CutcodesError:
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_source_args(p: argparse.ArgumentParser, with_matrix: bool):
@@ -166,15 +183,15 @@ def _resolve_function(args) -> FunctionSpec:
         return PolyZeroIndicator(load_polynomial(args.poly))
     if args.q is None:
         raise UsageError("need --q with a built-in family")
-    field = field_from_order(args.q, _parse_modulus(args.modulus))
+    field = _checked(field_from_order, args.q, _parse_modulus(args.modulus))
     if args.family == "staircase":
         if args.n is None or args.k is None or not args.alphas:
             raise UsageError("--family staircase needs --n, --k and --alphas")
-        return WeightStaircase(field, args.n, args.k, _parse_alphas(args.alphas))
+        return _checked(WeightStaircase, field, args.n, args.k, _parse_alphas(args.alphas))
     if args.family in (None, "frk"):
         if args.r is None or args.k is None:
             raise UsageError("the block family needs --r and --k")
-        return MonomialBlocks(field, args.r, args.k)
+        return _checked(MonomialBlocks, field, args.r, args.k)
     raise UsageError(f"unsupported family {args.family!r}")
 
 
@@ -218,13 +235,12 @@ def cmd_analyze(args) -> int:
     if args.minimality == "theorem" and code.function is None:
         raise UsageError("--minimality theorem needs a function-built code, not --matrix")
     require_budgets(code, ("weights", *METHOD_ROUTES[args.minimality]), cfg)
-    weights = weight_distribution(code, cfg)
-    ab = ab_check(code, cfg)
+    ab = ab_check(code, cfg)  # within the weight budget, so ab.weights is the distribution
     report = is_minimal(code, args.minimality, cfg)
     out = {
         "length": code.length,
         "dim": code.dim,
-        "weights": {str(w): c for w, c in sorted(weights.items())},
+        "weights": {str(w): c for w, c in sorted(ab.weights.items())},
         "minimal": report.minimal,
         "method": report.method,
         "ab": {"w_min": ab.w_min, "w_max": ab.w_max, "satisfied": ab.satisfied},
@@ -303,35 +319,23 @@ def cmd_survey(args) -> int:
     r_values = _parse_r_range(args.r)
     if not r_values:
         raise UsageError(f"empty r range {args.r!r}")
+    modulus = _parse_modulus(args.modulus)
+    # the family parameters, checked here so a bad one is a usage error
+    field = _checked(field_from_order, args.q, modulus)
+    for r in r_values:
+        _checked(MonomialBlocks, field, r, args.k)
     rows = survey_family(
         args.q,
         r_values,
         args.k,
         mode="projective" if args.projective else "affine",
         config=cfg,
-        modulus=_parse_modulus(args.modulus),
+        modulus=modulus,
     )
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
-        cols = [
-            "q",
-            "r",
-            "k",
-            "n",
-            "length",
-            "dim",
-            "zero_count",
-            "threshold",
-            "threshold_hit",
-            "theorem_applies",
-            "minimal",
-            "minimality_method",
-            "ab_satisfied",
-            "ab_method",
-            "w_min",
-            "w_max",
-        ]
+        cols = list(rows[0])
         print("\t".join(cols))
         for row in rows:
             print("\t".join(str(row[c]) for c in cols))

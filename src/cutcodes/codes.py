@@ -575,44 +575,37 @@ def ab_ratio_satisfied(w_min: int, w_max: int, q: int) -> bool:
     return w_max * (q - 1) < w_min * q
 
 
+def _ab_verdict(q: int, weights, zero_count, threshold) -> ABReport:
+    """The ratio verdict: exact from the weight distribution when there is
+    one, else False where the zero count reaches the threshold, else None."""
+    hit = None if threshold is None else zero_count >= threshold
+    context = dict(zero_count=zero_count, threshold=threshold, threshold_hit=hit)
+    if weights is None:
+        return ABReport(False, "threshold", **context) if hit else ABReport(None, "none", **context)
+    nonzero = [w for w in weights if w > 0]
+    w_min = min(nonzero)
+    w_max = max(nonzero)
+    satisfied = ab_ratio_satisfied(w_min, w_max, q)
+    if hit and satisfied:
+        raise RuntimeError("zero-count threshold contradicts the exact weight ratio")
+    return ABReport(satisfied, "distribution", w_min, w_max, weights=weights, **context)
+
+
 def ab_check(code: LinearCode, config: Optional[Config] = None) -> ABReport:
-    """Exact verdict from the full weight distribution (budget permitting)."""
-    cfg = config or Config()
-    zero_count = None
-    threshold = None
-    hit = None
+    """Ratio verdict for a code: from its weight distribution when that is
+    within the weight budget, else from the zero-count threshold, which
+    structured codes over n >= 2 variables carry."""
+    zero_count = threshold = None
     if code.function is not None and code.ambient_n is not None and code.ambient_n >= 2:
         mode = code.mode if code.mode != "raw" else "affine"
         zmode = "affine_star" if mode == "affine" else "projective"
         zero_count = len(zero_set(code.function, zmode))
         threshold = ab_zero_threshold(code.field.q, code.ambient_n, mode)
-        hit = zero_count >= threshold
     try:
-        weights = weight_distribution(code, cfg)
+        weights = weight_distribution(code, config)
     except BudgetExceeded:
-        if hit:
-            return ABReport(
-                False, "threshold", zero_count=zero_count, threshold=threshold, threshold_hit=hit
-            )
-        return ABReport(
-            None, "none", zero_count=zero_count, threshold=threshold, threshold_hit=hit
-        )
-    nonzero = [w for w in weights if w > 0]
-    w_min = min(nonzero)
-    w_max = max(nonzero)
-    satisfied = ab_ratio_satisfied(w_min, w_max, code.field.q)
-    if hit and satisfied:
-        raise RuntimeError("zero-count threshold contradicts the exact weight ratio")
-    return ABReport(
-        satisfied,
-        "distribution",
-        w_min=w_min,
-        w_max=w_max,
-        zero_count=zero_count,
-        threshold=threshold,
-        threshold_hit=hit,
-        weights=weights,
-    )
+        weights = None
+    return _ab_verdict(code.field.q, weights, zero_count, threshold)
 
 
 def ab_r_threshold(q: int) -> tuple:
@@ -629,6 +622,17 @@ def ab_r_threshold(q: int) -> tuple:
     return value, r_min
 
 
+def _survey_minimality(code: LinearCode, cfg: Config) -> MinimalityReport:
+    """is_minimal by both routes, else brute force alone, else weight-sum
+    alone: the first method within budget."""
+    for method in ("both", "brute", "weightsum"):
+        try:
+            return is_minimal(code, method, cfg)
+        except BudgetExceeded:
+            continue
+    return MinimalityReport(None, "none")
+
+
 def survey_family(
     q: int,
     r_values,
@@ -639,101 +643,67 @@ def survey_family(
 ) -> list:
     """One row per block degree r: parameters, certificates, verdicts.
 
-    Zero counts come from the closed form, cross-checked by enumeration on
-    spaces small enough to scan; enumerated and certified verdicts must
-    agree or the survey raises. Verdicts that no route could reach within
-    budget are None, with the method fields saying why.
+    Every family is built before the first row, so a bad r is refused
+    before any work. Zero counts come from the closed form, cross-checked
+    by enumeration on spaces within the point cap; only there is the code
+    built. Minimality is the first of is_minimal's "both", "brute" and
+    "weightsum" within budget, else the theorem certificate; the ratio
+    comes from ab_check, or for an unbuilt code from the zero-count
+    threshold alone. A theorem certificate that meets an enumerated False
+    raises. Verdicts that no route reached are None, with the method
+    columns saying which route produced each verdict.
     """
     cfg = config or Config()
     field = field_from_order(q, modulus)
+    families = [MonomialBlocks(field, r, k) for r in r_values]
+    builder = build_affine_code if mode == "affine" else build_projective_code
+    cone = 1 if mode == "affine" else q - 1  # points per counted zero
     rows = []
-    for r in r_values:
-        f = MonomialBlocks(field, r, k)
-        n = f.n
-        space_size = q**n
-        zero_full = monomial_blocks_zero_count(q, r, k)
-        zero_star = zero_full - 1
-        if space_size <= cfg.point_cap:
+    for f in families:
+        size = q**f.n
+        zero_star = monomial_blocks_zero_count(q, f.r, k) - 1
+        zero_count = zero_star // cone
+        assert zero_count * cone == zero_star
+        code = None
+        if size <= cfg.point_cap:
             scanned = len(zero_set(f, "affine_star"))
             if scanned != zero_star:
                 raise RuntimeError(
-                    f"zero-count formula disagrees with enumeration at r={r}: "
+                    f"zero-count formula disagrees with enumeration at r={f.r}: "
                     f"{zero_star} vs {scanned}"
                 )
-        if mode == "affine":
-            zero_count = zero_star
-            length = space_size - 1
-        else:
-            assert zero_star % (q - 1) == 0
-            zero_count = zero_star // (q - 1)
-            length = (space_size - 1) // (q - 1)
-        threshold = ab_zero_threshold(q, n, mode)
-        hit = zero_count >= threshold
-        row = {
-            "q": q,
-            "r": r,
-            "k": k,
-            "n": n,
-            "length": length,
-            "zero_count": zero_count,
-            "threshold": threshold,
-            "threshold_hit": hit,
-        }
+            code = builder(f, cfg)
+        threshold = ab_zero_threshold(q, f.n, mode)
         try:
-            theorem = theorem_hypotheses(f, mode)
-            applies = theorem.applies
+            applies = theorem_hypotheses(f, mode).applies
         except BudgetExceeded:
             applies = None
-        row["theorem_applies"] = applies
-        code = None
-        if length <= cfg.point_cap and space_size <= cfg.point_cap:
-            builder = build_affine_code if mode == "affine" else build_projective_code
-            code = builder(f, cfg)
-            row["dim"] = code.dim
-        else:
-            row["dim"] = n + 1
-        minimal = None
-        mmethod = "none"
-        if code is not None:
-            verdicts = {}
-            for name, fn in (
-                ("bruteforce", is_minimal_bruteforce),
-                ("weightsum", is_minimal_weightsum),
-            ):
-                try:
-                    verdicts[name] = fn(code, cfg).minimal
-                except BudgetExceeded:
-                    pass
-            if len(set(verdicts.values())) > 1:
-                raise RuntimeError(f"minimality routes disagree at r={r}: {verdicts}")
-            if verdicts:
-                minimal = next(iter(verdicts.values()))
-                mmethod = "+".join(sorted(verdicts))
-        if minimal is None and applies:
-            minimal = True
-            mmethod = "theorem"
-        elif minimal is not None and applies and minimal is not True:
-            raise RuntimeError(
-                f"theorem certificate contradicts enumeration at r={r}"
-            )
-        row["minimal"] = minimal
-        row["minimality_method"] = mmethod
-        ab_satisfied = None
-        ab_method = "none"
-        w_min = w_max = None
-        if code is not None:
-            ab = ab_check(code, cfg)
-            ab_satisfied = ab.satisfied
-            ab_method = ab.method
-            w_min, w_max = ab.w_min, ab.w_max
-        if ab_satisfied is None and hit:
-            ab_satisfied = False
-            ab_method = "threshold"
-        row["ab_satisfied"] = ab_satisfied
-        row["ab_method"] = ab_method
-        row["w_min"] = w_min
-        row["w_max"] = w_max
-        rows.append(row)
+        report = MinimalityReport(None, "none") if code is None else _survey_minimality(code, cfg)
+        if applies and report.minimal is None:
+            report = MinimalityReport(True, "theorem")
+        elif applies and report.minimal is False:
+            raise RuntimeError(f"theorem certificate contradicts enumeration at r={f.r}")
+        ab = _ab_verdict(q, None, zero_count, threshold) if code is None else ab_check(code, cfg)
+        rows.append(
+            {
+                "q": q,
+                "r": f.r,
+                "k": k,
+                "n": f.n,
+                "length": (size - 1) // cone,
+                "dim": f.n + 1 if code is None else code.dim,
+                "zero_count": zero_count,
+                "threshold": threshold,
+                "threshold_hit": ab.threshold_hit,
+                "theorem_applies": applies,
+                "minimal": report.minimal,
+                "minimality_method": report.method,
+                "ab_satisfied": ab.satisfied,
+                "ab_method": ab.method,
+                "w_min": ab.w_min,
+                "w_max": ab.w_max,
+            }
+        )
     return rows
 
 

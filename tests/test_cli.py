@@ -242,6 +242,27 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze --q 3 --r 1 --k 2",
+        "analyze --q 3 --r 2 --k 0",
+        "build --q 2 --r 2 --k -1",
+        "survey --q 2 --r 2 --k 0",
+        "survey --q 2 --r x..3 --k 2",
+        "survey --q 2 --r 2,y --k 2",
+        "analyze --q 4 --modulus 1,x --r 2 --k 2",
+        "analyze --q 3 --modulus 1,1 --r 2 --k 2",
+        "analyze --q 3 --family staircase --n 2 --k 5 --alphas 1",
+        "analyze --q 3 --family staircase --n 3 --k 2 --alphas a",
+    ],
+)
+def test_bad_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_table_q_conflict(tmp_path, capsys):
     f = MonomialBlocks(field_from_order(2), 2, 2)
     table = tmp_path / "f.txt"
@@ -296,16 +317,58 @@ def test_survey_empty_range(capsys):
     assert "empty" in err
 
 
+# (argv, expected fields of each row); one case per fallback route
+SURVEY_FALLBACKS = [
+    (
+        ("--q", "2", "--r", "5", "--k", "2", "--pair-budget", "1000", "--weight-budget", "1000"),
+        [dict(minimal=True, minimality_method="theorem", ab_satisfied=False,
+              ab_method="threshold", w_min=None, w_max=None)],
+    ),
+    (
+        # the weight-sum scan alone is refused
+        ("--q", "3", "--r", "2", "--k", "2", "--pair-budget", "2000000"),
+        [dict(minimal=True, minimality_method="bruteforce", ab_method="distribution",
+              w_min=48, w_max=57)],
+    ),
+    (
+        # no code is built: the row's dim is n + 1
+        ("--q", "2", "--r", "4", "--k", "2", "--point-cap", "100"),
+        [dict(dim=9, minimal=True, minimality_method="theorem", ab_satisfied=False,
+              ab_method="threshold", w_min=None, w_max=None)],
+    ),
+    (
+        ("--q", "3", "--r", "2,3", "--k", "2", "--projective"),
+        [dict(length=40, minimality_method="bruteforce+weightsum", ab_satisfied=False,
+              w_min=19, w_max=32),
+         dict(length=364, minimality_method="bruteforce+weightsum", ab_satisfied=False,
+              w_min=168, w_max=258)],
+    ),
+]
+
+
 def test_survey_degrades_to_certificates_under_budget(capsys):
-    code, out, _ = run_cli(
-        capsys, "survey", "--q", "2", "--r", "5", "--k", "2", "--format", "json",
-        "--pair-budget", "1000", "--weight-budget", "1000",
+    for argv, expected in SURVEY_FALLBACKS:
+        code, out, _ = run_cli(capsys, "survey", *argv, "--format", "json")
+        assert code == 0, argv
+        rows = json.loads(out)
+        assert [{key: row[key] for key in want} for row, want in zip(rows, expected)] == expected, argv
+        assert len(rows) == len(expected), argv
+
+
+def test_survey_refuses_a_bad_r_before_building_any_code(capsys, monkeypatch):
+    import cutcodes.codes
+
+    built = []
+    monkeypatch.setattr(
+        cutcodes.codes, "build_affine_code", lambda *a, **kw: built.append(a) or None
     )
-    assert code == 0
-    (row,) = json.loads(out)
-    assert row["minimal"] is True and row["minimality_method"] == "theorem"
-    assert row["ab_satisfied"] is False and row["ab_method"] == "threshold"
-    assert row["w_min"] is None and row["w_max"] is None
+    # r = 2 alone would build its code at once
+    code, out, err = run_cli(capsys, "survey", "--q", "2", "--r", "2,1", "--k", "2")
+    assert (code, out) == (2, "")
+    assert "usage error: block degree must be >= 2" in err
+    with pytest.raises(ValueError, match="block degree"):
+        cutcodes.codes.survey_family(2, [2, 1], 2)
+    assert built == []
 
 
 def test_survey_tsv(capsys):
