@@ -19,8 +19,7 @@ independent routes:
   block with a hit;
 - the weight-sum criterion, kept as a literal sum over a, not reduced to
   set containment: each weight wt(c' - a*c) is looked up by the message
-  m' - a*m, whose index is read from two digitwise-sum tables over the
-  low and the high half of the message digits;
+  m' - a*m, a point of Space(field, dim) added by Space.translate;
 - the blocking-set theorem certificate.
 
 Enumerative routes are budget-gated, checked before any work, and fail
@@ -56,7 +55,7 @@ from .functions import (
     scalar_compatible,
     zero_set,
 )
-from .geometry import Space, sum_index_table
+from .geometry import Space
 
 DEFAULT_PAIR_BUDGET = 10**10
 DEFAULT_WEIGHT_BUDGET = 10**9
@@ -248,22 +247,16 @@ def build_projective_code(f: FunctionSpec, config: Optional[Config] = None) -> L
 
 # scalar-class representatives: messages whose first nonzero digit is 1,
 # enumerated by leading position t, then by the integer g formed by the
-# digits above t (digit t+1 least significant). Every nonzero codeword is
-# a unique nonzero multiple of exactly one representative.
+# digits above t (digit t+1 least significant), so the message index is
+# q^t + q^(t+1) * g. Every nonzero codeword is a unique nonzero multiple of
+# exactly one representative.
 def _class_messages(dim: int, q: int, dtype) -> np.ndarray:
     """The R x dim message digits of every class representative, in order."""
-    msgs = np.zeros(((q**dim - 1) // (q - 1), dim), dtype=dtype)
-    row = 0
-    for t in range(dim):
-        count = q ** (dim - 1 - t)
-        block = msgs[row : row + count]
-        block[:, t] = 1
-        g = np.arange(count)
-        for j in range(t + 1, dim):
-            block[:, j] = g % q
-            g //= q
-        row += count
-    return msgs
+    enc = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [q**t + q ** (t + 1) * np.arange(q ** (dim - 1 - t), dtype=np.int64) for t in range(dim)]
+    )
+    return ((enc[:, None] // q ** np.arange(dim, dtype=np.int64)) % q).astype(dtype)
 
 
 def _doubling_blocks(lead: np.ndarray, tail, ops: FieldOps, q: int, cap: int):
@@ -414,12 +407,12 @@ def is_minimal_weightsum(
     sum over nonzero a of wt(c' - a*c) equals (q-1)*wt(c') - wt(c). The sum
     is computed as stated, keeping this an independent route rather than a
     restatement of support containment. c' - a*c has message m' - a*m, so
-    each weight is looked up by message index (sum of digit_l * q^l) in a
-    q^dim table filled from the class weights and their nonzero multiples.
-    The index of m' - a*m comes from its low h = dim // 2 digits and its
-    high dim - h digits, each read from a digitwise-sum table of the two
-    halves' indices. Classes i are scanned in blocks; the witness is the
-    first hit in (i, j) order.
+    each weight is looked up by message index (sum of digit_l * q^l, the
+    point encoding of Space(field, dim)) in a q^dim table filled from the
+    class weights and their nonzero multiples. The index of m' - a*m is
+    Space.translate of the class messages' row applied to the -a*m_i of a
+    block of classes i, shaped (q-1, rows, 1). Classes i are scanned in
+    blocks; the witness is the first hit in (i, j) order.
     """
     require_budgets(code, ("weightsum",), config)
     table = _class_table(code)
@@ -429,35 +422,20 @@ def is_minimal_weightsum(
     wt = table.weights
     R = len(wt)
     if R <= 1:
-        # no pairs; the q x q sum table of a one-digit half would outgrow the scan
+        # no pairs; a zero code has dim 0, which no Space has
         return MinimalityReport(True, "weightsum", 0)
-    dim = code.dim
-    h = dim // 2
-    place = q ** np.arange(dim, dtype=np.int64)
-    lookup = np.zeros(q**dim, dtype=np.int64)
-    for a in range(1, q):
-        lookup[ops.mul_scalar(a, msgs) @ place] = wt
-    # index of x + y = sums_lo[x_lo, y_lo] + sums_hi[x_hi, y_hi], both flat
-    sum_table = sum_index_table(ops, q, dim - h)
-    sums_lo = sum_table[: q**h, : q**h].flatten()
-    sum_table *= q**h  # in place: for odd dim it is q times larger than lookup
-    sums_hi = sum_table.ravel()
-
-    def halves(digits):
-        return digits[..., :h] @ place[:h], digits[..., h:] @ place[: dim - h]
-
-    lo, hi = halves(msgs)
-    # flat row offsets of -a*m_i's halves for every nonzero a and class i,
-    # shape (q-1, R)
-    neg_lo, neg_hi = halves(np.stack([ops.neg(ops.mul_scalar(a, msgs)) for a in range(1, q)]))
-    neg_lo *= q**h
-    neg_hi *= q ** (dim - h)
+    space = Space(code.field, code.dim)
+    # a*m_i for every nonzero a and class i, shape (q-1, R, dim)
+    scaled = np.stack([ops.mul_scalar(a, msgs) for a in range(1, q)])
+    lookup = np.zeros(space.size, dtype=np.int64)
+    lookup[space.encode_block(scaled)] = wt
+    neg = space.encode_block(ops.neg(scaled))
+    plus_j = space.translate(space.encode_block(msgs)[None, :])
     rows = max(1, _SCAN_ELEMS // ((q - 1) * R))
     for i0 in range(0, R, rows):
         i1 = min(R, i0 + rows)
         # weights of c_j - a*c_i for classes i0 <= i < i1, every a and every j
-        diffs = sums_lo[neg_lo[:, i0:i1, None] + lo] + sums_hi[neg_hi[:, i0:i1, None] + hi]
-        sums = lookup[diffs].sum(axis=0)
+        sums = lookup[plus_j(neg[:, i0:i1, None])].sum(axis=0)
         eq = sums == (q - 1) * wt[None, :] - wt[i0:i1, None]
         eq[np.arange(i1 - i0), np.arange(i0, i1)] = False
         hit_rows = np.nonzero(eq.any(axis=1))[0]
@@ -760,6 +738,8 @@ def parse_generator_matrix(text: str) -> LinearCode:
         q, length, dim = int(head[0]), int(head[1]), int(head[2])
     except ValueError as exc:
         raise ParseError("non-integer in header") from exc
+    if dim < 1:
+        raise ParseError(f"header dim {dim} is below 1")
     mode = head[3]
     if mode not in ("affine", "projective", "raw"):
         raise ParseError(f"unknown mode {mode!r}")

@@ -25,6 +25,12 @@ entries, so it pays for many counts over a small field; over a large one
 with few hyperplanes (q^2 above their number, or size * q above
 _COUNT_CAP) Space.hyperplane_counts sums the set over each hyperplane's
 points instead.
+
+Space.translate adds encodings digitwise (XOR in characteristic 2). Its two
+callers add one row of encodings to a block of columns: the cutting scan
+(blocking._first_uncut_subspace) adds each annihilator vector to a pivot
+pattern's g, and the weight-sum scan (codes.is_minimal_weightsum) adds the
+-a*m_i of a block of classes to every class message m_j.
 """
 
 from __future__ import annotations
@@ -44,23 +50,6 @@ _DIGIT_CACHE_LIMIT = 1 << 22
 _COUNT_CHUNK = 1 << 18  # elements per temporary array of the count transform
 _COUNT_CAP = 1 << 22  # histogram entries (size * q) the count transform may hold
 _VECTOR_TOKENS = 160  # point-file tokens below which int() parses faster than numpy
-
-
-def sum_index_table(ops, q: int, digits: int) -> np.ndarray:
-    """T[x, y] = index of the digitwise field sum of the digit vectors with
-    indices x and y (digit l weighted q^l), over all q^digits vectors each.
-
-    Built digit by digit from the one-digit addition table; the leading
-    q^h x q^h corner is the table for h digits.
-    """
-    elems = np.arange(q, dtype=ops.dtype)
-    one = ops.add(elems[:, None], elems[None, :]).astype(np.int64)
-    table = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(digits):
-        # x = x0 + q * x' splits the row index into (x', x0), likewise y
-        size = table.shape[0] * q
-        table = (one[None, :, None, :] + q * table[:, None, :, None]).reshape(size, size)
-    return table
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -132,7 +121,7 @@ class Space:
         self._proj_encodings = None
         self._proj_mask = None
         self._annihilator_blocks = {}  # d -> subspace_blocks(d, "annihilator"), when small
-        self._sum_tables = {}  # digits -> sum_index_table, for translate
+        self._sum_tables = {}  # width -> _sum_table(width), for translate
 
     # point encoding -------------------------------------------------------
     @functools.cached_property
@@ -270,11 +259,14 @@ class Space:
         coordinate its own bits, so the encodings XOR whole. Otherwise the
         coordinates add in groups of n // 2 digits (two groups for even n,
         three for odd n, the last of one digit), each through one digitwise
-        sum table of q^(2 * width) <= q^n entries (sum_index_table, built
-        once per Space); for n = 1 the encodings are the field elements. For
-        a row w of shape (1, B) and columns u of shape (..., 1), the shape
-        the cutting scan adds one u at a time in, the tables' columns at
-        w's digits are taken once, so each u costs one row take per group.
+        sum table of q^(2 * width) <= q^n entries (_sum_table, built once
+        per Space); for n = 1 the encodings are the field elements. For
+        a row w of shape (1, B) and columns u of shape (..., 1), the tables'
+        columns at w's digits are taken once, so each u costs one row take
+        per group. Both callers use that shape: the cutting scan
+        (blocking._first_uncut_subspace) with u of shape (rows, 1), the
+        weight-sum scan (codes.is_minimal_weightsum) with u of shape
+        (q-1, rows, 1).
         """
         w = np.asarray(w, dtype=np.int64)
         if self.field.p == 2:
@@ -317,9 +309,22 @@ class Space:
         return [(0, h), (h, h)] + ([(2 * h, 1)] if self.n % 2 else [])
 
     def _sum_table(self, width: int) -> np.ndarray:
+        """T[x, y] = index of the digitwise field sum of the width-digit
+        vectors with indices x and y, over all q^width vectors each.
+
+        Built digit by digit from the one-digit addition table.
+        """
         table = self._sum_tables.get(width)
         if table is None:
-            table = sum_index_table(ops_for(self.field), self.q, width)
+            q = self.q
+            ops = ops_for(self.field)
+            elems = np.arange(q, dtype=ops.dtype)
+            one = ops.add(elems[:, None], elems[None, :]).astype(np.int64)
+            table = np.zeros((1, 1), dtype=np.int64)
+            for _ in range(width):
+                # x = x0 + q * x' splits the row index into (x', x0), likewise y
+                size = table.shape[0] * q
+                table = (one[None, :, None, :] + q * table[:, None, :, None]).reshape(size, size)
             if self.size <= _DIGIT_CACHE_LIMIT:
                 self._sum_tables[width] = table
         return table

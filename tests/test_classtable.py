@@ -1,6 +1,7 @@
 """The per-code class table: differential checks of the routes that read it,
 one enumeration per code, and refusals before any enumeration."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from cutcodes import (
     Config,
     LinearCode,
     MonomialBlocks,
+    Space,
     ab_check,
     build_affine_code,
     field_from_order,
@@ -44,13 +46,24 @@ def raw_codes(draw):
     return LinearCode(field_from_order(q), matrix)
 
 
+def _simplex(q, dim):
+    """The simplex code: one column per projective point of GF(q)^dim, minimal."""
+    space = Space(field_from_order(q), dim)
+    return LinearCode(space.field, space.decode_block(space.projective_point_encodings()).T)
+
+
 @given(raw_codes())
 # first weight-sum hit at i = 1: supp(110) inside supp(111)
 @example(LinearCode(field_from_order(2), [[1, 1, 1], [0, 0, 1]]))
-# dim 1, the only dim with an empty low half: one class, no pairs
+# dim 1: one class, no pairs, so the scan returns before building a Space
 @example(LinearCode(field_from_order(3), [[1, 2, 0]]))
-# odd dim over an extension field: one low digit, two high digits
+# odd dim over an extension field: translate adds three one-digit groups
 @example(LinearCode(field_from_order(9), [[1, 0, 0, 1, 3], [0, 1, 0, 5, 1], [0, 0, 1, 7, 8]]))
+# minimal codes, scanned to the end: three digit groups (2, 2 and 1 digits),
+# XOR in characteristic 2, two one-digit groups
+@example(_simplex(3, 5))
+@example(_simplex(2, 6))
+@example(_simplex(11, 2))
 def test_weightsum_matches_literal_oracle(code):
     expected = literal_weightsum(code)
     rep = is_minimal_weightsum(code)
@@ -97,6 +110,24 @@ def test_zero_code_has_no_pairs(rows):
         rep = scan(code)
         assert (rep.minimal, rep.witness, rep.pairs_checked) == (True, None, 0)
     assert minimal_codewords(code) == []
+
+
+def test_weightsum_memory_stays_near_the_lookup():
+    # 5,113 classes over GF(71), within the default pair budget: the weight
+    # lookup holds 71^3 int64 entries (2.9 MB); a digit-sum table over
+    # q^(dim+1) entries would take 194 MB
+    field = field_from_order(71)
+    rows = [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 3]]
+    tracemalloc.start()
+    try:
+        rep = is_minimal_weightsum(LinearCode(field, rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    brute = is_minimal_bruteforce(LinearCode(field, rows))
+    assert rep.minimal is brute.minimal is False
+    assert rep.witness == brute.witness
+    assert peak < 64 * 2**20
 
 
 def _count_enumerations(monkeypatch):

@@ -229,6 +229,14 @@ def test_blocking_parse_error_exit_code(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_analyze_matrix_of_dim_zero_is_an_input_error(tmp_path, capsys):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 3 0 raw\n")
+    code, out, err = run_cli(capsys, "analyze", "--matrix", str(matrix))
+    assert code == 3
+    assert out == "" and "input error" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "build", "--family", "frk", "--r", "2", "--k", "2")
     assert code == 2 and "need --q" in err

@@ -305,6 +305,8 @@ def test_generator_matrix_parse_errors():
     with pytest.raises(ParseError):
         parse_generator_matrix("2 3 2 raw\n1 0 1\n1 0 1\n")  # rank below header
     with pytest.raises(ParseError):
+        parse_generator_matrix("2 3 0 raw\n")  # dim 0, no rows
+    with pytest.raises(ParseError):
         # affine head with a non-matching length
         parse_generator_matrix("2 3 5 affine\n" + "\n".join(["1 0 1"] * 5) + "\n")
     # comments and blank lines are fine

@@ -152,6 +152,8 @@ def test_translate_block_shape_adds_every_pair(q, n):
     want = [[_digit_sum(space, a, b) for b in w] for a in u]
     assert plus_w(u[:, None]).tolist() == want
     assert plus_w(u[::-1, None]).tolist() == want[::-1]
+    # a leading batch axis, as the weight-sum scan passes its (q-1, rows, 1)
+    assert plus_w(np.stack([u, u[::-1]])[..., None]).tolist() == [want, want[::-1]]
     # any other shape broadcasts through the whole tables
     assert space.add_encodings(u[None, :], w[:, None]).T.tolist() == want
     assert all(table.size <= space.size for table in space._sum_tables.values())
