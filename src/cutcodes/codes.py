@@ -55,7 +55,7 @@ from .functions import (
     scalar_compatible,
     zero_set,
 )
-from .geometry import Space
+from .geometry import Space, _data_lines, _format_rows, _Rows
 
 DEFAULT_PAIR_BUDGET = 10**10
 DEFAULT_WEIGHT_BUDGET = 10**9
@@ -702,21 +702,16 @@ def permute_columns(code: LinearCode, perm) -> LinearCode:
 
 
 # generator-matrix files: header "q length dim mode [modulus]", then dim
-# rows of element codes. Structured modes only round-trip at full rank;
-# write degenerate codes as raw.
+# rows of element codes, read and written by geometry's shared row reader
+# and writer; a bad row is reported by its file line. Structured modes only
+# round-trip at full rank; write degenerate codes as raw.
 def format_generator_matrix(code: LinearCode) -> str:
     mode = code.mode
     if mode != "raw" and (
         code.ambient_n is None or code.dim != code.ambient_n + 1
     ):
         mode = "raw"
-    head = f"{code.field.q} {code.length} {code.dim} {mode}"
-    if code.field.m > 1:
-        head += " " + " ".join(str(c) for c in code.field.modulus)
-    lines = [head]
-    for row in code.basis:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    return _format_rows(f"{code.field.q} {code.length} {code.dim} {mode}", code.field, code.basis)
 
 
 def write_generator_matrix(path, code: LinearCode):
@@ -724,14 +719,10 @@ def write_generator_matrix(path, code: LinearCode):
 
 
 def parse_generator_matrix(text: str) -> LinearCode:
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.split("#", 1)[0].strip())
-    ]
+    lines = _data_lines(text)
     if not lines:
         raise ParseError("empty generator-matrix file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) < 4:
         raise ParseError("header needs 'q length dim mode'")
     try:
@@ -753,18 +744,9 @@ def parse_generator_matrix(text: str) -> LinearCode:
         raise ParseError(str(exc)) from exc
     if len(lines) - 1 != dim:
         raise ParseError(f"expected {dim} rows, found {len(lines) - 1}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != length:
-            raise ParseError(f"row {lineno}: expected {length} entries")
-        try:
-            vals = [int(x) for x in parts]
-        except ValueError as exc:
-            raise ParseError(f"row {lineno}: non-integer entry") from exc
-        if any(not 0 <= x < q for x in vals):
-            raise ParseError(f"row {lineno}: entry outside 0..{q - 1}")
-        rows.append(vals)
+    rows = _Rows(lines[1:], length, f"expected {length} entries", "non-integer entry")
+    rows.check_range(slice(None), q, lambda x: f"entry outside 0..{q - 1}")
+    rows = rows.done().astype(np.int64)
     columns = None
     ambient = None
     if mode != "raw":
@@ -783,9 +765,7 @@ def parse_generator_matrix(text: str) -> LinearCode:
             else space.projective_point_encodings()
         )
         ambient = n
-    code = LinearCode(
-        field, np.array(rows), mode=mode, columns=columns, ambient_n=ambient
-    )
+    code = LinearCode(field, rows, mode=mode, columns=columns, ambient_n=ambient)
     if code.dim != dim:
         raise ParseError(f"stored rows have rank {code.dim}, header claims {dim}")
     return code

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .bulk import ops_for
-from .errors import EvenOrderWarning, NotScalarCompatible, ParseError
+from .errors import EvenOrderWarning, NotScalarCompatible
 from .field import Field
-from .geometry import PointSet, Space, _parse_header, _data_lines
+from .geometry import PointSet, Space, _format_rows, _read_header, _Rows, _space_zeros
 
 _CHUNK = 1 << 20
 _SCAN_LIMIT = 1 << 22
@@ -414,38 +414,16 @@ def is_linear(f: FunctionSpec) -> bool:
 # function-table files: header "q n [modulus]", rows "x_1 ... x_n value",
 # unlisted points default to 0, duplicate points rejected.
 def parse_function_table(text: str) -> DenseTable:
-    space = None
-    values = None
-    seen = None
-    for lineno, line in _data_lines(text):
-        if space is None:
-            space = _parse_header(line, lineno)
-            values = np.zeros(space.size, dtype=np.int64)
-            seen = np.zeros(space.size, dtype=bool)
-            continue
-        parts = line.split()
-        if len(parts) != space.n + 1:
-            raise ParseError(
-                f"line {lineno}: expected {space.n} coordinates and a value"
-            )
-        try:
-            nums = [int(x) for x in parts]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer entry") from exc
-        coords, val = nums[:-1], nums[-1]
-        if not 0 <= val < space.q:
-            raise ParseError(f"line {lineno}: value {val} outside 0..{space.q - 1}")
-        try:
-            e = space.encode(coords)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        if seen[e]:
-            raise ParseError(f"line {lineno}: duplicate point {tuple(coords)}")
-        seen[e] = True
-        values[e] = val
-    if space is None:
-        raise ParseError("empty function-table file")
-    return DenseTable(space.field, space.n, values)
+    space, lines = _read_header(text, "function-table")
+    n, q = space.n, space.q
+    values = _space_zeros(space, np.int64)
+    rows = _Rows(lines, n + 1, f"expected {n} coordinates and a value", "non-integer entry")
+    rows.check_range(slice(n, None), q, lambda x: f"value {x} outside 0..{q - 1}")
+    rows.check_range(slice(0, n), q, lambda x: f"coordinate {x} outside 0..{q - 1}")
+    enc = space.encode_block(rows.values[:, :n])
+    rows.check_repeats(enc, n)
+    values[enc] = rows.done()[:, n]
+    return DenseTable(space.field, n, values)
 
 
 def load_function_table(path) -> DenseTable:
@@ -455,15 +433,10 @@ def load_function_table(path) -> DenseTable:
 def format_function_table(f: FunctionSpec) -> str:
     """Nonzero entries only, in encoding order; zeros are implicit."""
     space = f.space
-    head = f"{space.q} {space.n}"
-    if space.field.m > 1:
-        head += " " + " ".join(str(c) for c in space.field.modulus)
-    lines = [head]
     tab = f.table()
-    for e in np.nonzero(tab)[0]:
-        coords = space.decode(int(e))
-        lines.append(" ".join(str(c) for c in coords) + f" {int(tab[e])}")
-    return "\n".join(lines) + "\n"
+    enc = np.flatnonzero(tab)
+    rows = np.column_stack([space.decode_block(enc), tab[enc].astype(np.int64)])
+    return _format_rows(f"{space.q} {space.n}", space.field, rows)
 
 
 def save_function_table(path, f: FunctionSpec):
@@ -472,32 +445,13 @@ def save_function_table(path, f: FunctionSpec):
 
 # polynomial files: header "q n [modulus]", rows "coeff e_1 ... e_n".
 def parse_polynomial(text: str) -> PolynomialSpec:
-    space = None
-    terms = []
-    for lineno, line in _data_lines(text):
-        if space is None:
-            space = _parse_header(line, lineno)
-            continue
-        parts = line.split()
-        if len(parts) != space.n + 1:
-            raise ParseError(
-                f"line {lineno}: expected a coefficient and {space.n} exponents"
-            )
-        try:
-            nums = [int(x) for x in parts]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer entry") from exc
-        coeff, exps = nums[0], nums[1:]
-        if not 0 <= coeff < space.q:
-            raise ParseError(
-                f"line {lineno}: coefficient {coeff} outside 0..{space.q - 1}"
-            )
-        if any(e < 0 for e in exps):
-            raise ParseError(f"line {lineno}: negative exponent")
-        terms.append((coeff, tuple(exps)))
-    if space is None:
-        raise ParseError("empty polynomial file")
-    return PolynomialSpec(space.field, space.n, terms)
+    space, lines = _read_header(text, "polynomial")
+    n, q = space.n, space.q
+    rows = _Rows(lines, n + 1, f"expected a coefficient and {n} exponents", "non-integer entry")
+    rows.check_range(slice(0, 1), q, lambda x: f"coefficient {x} outside 0..{q - 1}")
+    rows.check((rows.values[:, 1:] < 0).any(axis=1), "negative exponent")
+    # exponents may pass int64; PolynomialSpec reduces them as Python ints
+    return PolynomialSpec(space.field, n, ((row[0], row[1:]) for row in rows.done().tolist()))
 
 
 def load_polynomial(path) -> PolynomialSpec:

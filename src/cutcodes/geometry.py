@@ -31,6 +31,12 @@ callers add one row of encodings to a block of columns: the cutting scan
 (blocking._first_uncut_subspace) adds each annihilator vector to a pivot
 pattern's g, and the weight-sum scan (codes.is_minimal_weightsum) adds the
 -a*m_i of a block of classes to every class message m_j.
+
+The four input file formats (point sets here, function tables and
+polynomials in functions, generator matrices in codes) share one row
+reader, _Rows, which holds the error policy, and one writer, _format_rows.
+A "q n" header whose q^n encodings numpy cannot allocate is refused with
+BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -175,10 +181,6 @@ class Space:
         """All nonzero points, in encoding order."""
         return np.arange(1, self.size, dtype=np.int64)
 
-    def affine_points(self):
-        for e in range(1, self.size):
-            yield self.decode(e)
-
     def canonical_representative(self, coords) -> tuple:
         f = self.field
         for x in coords:
@@ -247,10 +249,6 @@ class Space:
         """Coordinates of an array of encodings, along a new last axis."""
         enc = np.asarray(enc, dtype=np.int64)
         return (enc[..., None] // self.places) % self.q
-
-    def add_encodings(self, u, w) -> np.ndarray:
-        """Encodings of the vector sums x + y; u and w broadcast together."""
-        return self.translate(w)(u)
 
     def translate(self, w):
         """The map u -> encodings of u + w, for arrays u that broadcast with w.
@@ -328,10 +326,6 @@ class Space:
             if self.size <= _DIGIT_CACHE_LIMIT:
                 self._sum_tables[width] = table
         return table
-
-    def scale_encodings(self, lam: int, enc) -> np.ndarray:
-        """Encodings of lam * x for an array of encodings x."""
-        return self.encode_block(ops_for(self.field).mul_scalar(lam, self.decode_block(enc)))
 
     def counts_by_transform(self, needed: int) -> bool:
         """Should shift_counts serve `needed` counts, rather than one scan each?
@@ -563,10 +557,6 @@ class Space:
             row[j + 1 :] = factors
         return basis
 
-    def span_dim(self, vectors) -> int:
-        digits = np.array(list(vectors), dtype=np.int64).reshape(-1, self.n)
-        return len(self.span_basis(self.encode_block(digits)))
-
     def __eq__(self, other):
         return (
             isinstance(other, Space)
@@ -594,17 +584,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, coords) -> bool:
-        f = self.space.field
-        v = list(coords)
-        for i, p in enumerate(self.pivots):
-            c = v[p]
-            if c:
-                row = self.rows[i]
-                for j in range(p, len(v)):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return not any(v)
 
     def point_encodings(self) -> np.ndarray:
         """Encodings of all q^dim points of the subspace, sorted."""
@@ -674,10 +653,6 @@ class PointSet:
         self._hyperplane_counts = None
 
     @classmethod
-    def empty(cls, space: Space) -> "PointSet":
-        return cls(space, np.zeros(space.size, dtype=bool))
-
-    @classmethod
     def from_encodings(cls, space: Space, encodings) -> "PointSet":
         bits = np.zeros(space.size, dtype=bool)
         if not isinstance(encodings, np.ndarray):
@@ -717,18 +692,6 @@ class PointSet:
         for e in self.encodings():
             yield self.space.decode(int(e))
 
-    def union(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, self.bits | other.bits)
-
-    def intersection(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, self.bits & other.bits)
-
-    def difference(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, self.bits & ~other.bits)
-
-    def subset_of(self, other: "PointSet") -> bool:
-        return bool((~self.bits | other.bits).all())
-
     def has_origin(self) -> bool:
         return bool(self.bits[0])
 
@@ -750,10 +713,9 @@ class PointSet:
         return f"PointSet({len(self)} points in GF({self.space.q})^{self.space.n})"
 
 
-# file format: header "q n [modulus coeffs, constant first]", then one point
-# per line as n space-separated element codes. '#' starts a comment. The
-# body's coordinates are converted, range-checked, encoded and checked for
-# repeats in numpy passes over all lines at once.
+# input files: a header line, then one row of integers per data line. '#'
+# starts a comment; blank lines are skipped but still count toward line
+# numbers.
 def _data_lines(text: str) -> list:
     """(line number, text) of every line left after comments and blanks."""
     return [
@@ -763,7 +725,12 @@ def _data_lines(text: str) -> list:
     ]
 
 
-def _parse_header(line: str, lineno: int):
+def _read_header(text: str, what: str):
+    """The Space of a "q n [modulus]" file and its data lines after the header."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ParseError(f"empty {what} file")
+    lineno, line = lines[0]
     parts = line.split()
     if len(parts) < 2:
         raise ParseError(f"line {lineno}: header needs at least 'q n'")
@@ -779,7 +746,18 @@ def _parse_header(line: str, lineno: int):
         field = field_from_order(q, modulus)
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from exc
-    return Space(field, n)
+    return Space(field, n), lines[1:]
+
+
+def _space_zeros(space: Space, dtype) -> np.ndarray:
+    """A zero array over the q^n encodings, refused when numpy cannot allocate it."""
+    try:
+        return np.zeros(space.size, dtype=dtype)
+    except (ValueError, MemoryError) as exc:
+        raise BudgetExceeded(
+            f"GF({space.q})^{space.n} has q^n = {space.size} points, "
+            f"too many for one array ({exc})"
+        ) from exc
 
 
 def _int_tokens(tokens: list):
@@ -813,49 +791,92 @@ def _int_tokens(tokens: list):
     return np.array(values, dtype=object), len(values)
 
 
+class _Rows:
+    """A file body read as integer rows of a fixed width, one per data line,
+    all tokens converted in one pass.
+
+    The first bad line wins, and on one line the checks run in the order
+    they are made: the token count and the integer check here, then the
+    parser's own range and repeat checks. Each check reads only the rows
+    before the earliest failure found so far, which it may move up; done()
+    raises that failure as a ParseError naming the file line, comments and
+    blank lines counted.
+    """
+
+    def __init__(self, lines: list, width: int, wrong_count: str, non_integer: str):
+        self.linenos = [lineno for lineno, _ in lines]
+        parts = [line.split() for _, line in lines]
+        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        values, parsed = _int_tokens(list(itertools.chain.from_iterable(parts)))
+        self.count = len(lines)
+        self.error = None
+        wrong = np.flatnonzero(counts != width)
+        if wrong.size:
+            self.fail(int(wrong[0]), wrong_count)
+        if parsed < self.count * width:
+            self.fail(parsed // width, non_integer)
+        # a matrix header may declare a length below 1; then no row is read
+        self._values = values[: self.count * width].reshape(self.count, max(width, 0))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The rows before the first failure so far (int64, or Python ints)."""
+        return self._values[: self.count]
+
+    def fail(self, k: int, message: str):
+        self.count, self.error = k, f"line {self.linenos[k]}: {message}"
+
+    def check(self, bad: np.ndarray, message: str):
+        """Fail at the first row where bad, one flag per row of values, holds."""
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            self.fail(int(hit[0]), message)
+
+    def check_range(self, cols: slice, q: int, message):
+        """Fail at the first row with an entry in cols outside 0..q-1; like
+        Space.encode, message(x) names the row's last such entry x."""
+        v = self.values[:, cols]
+        hit = np.flatnonzero(((v < 0) | (v >= q)).any(axis=1))
+        if hit.size:
+            k = int(hit[0])
+            self.fail(k, message(next(x for x in reversed(v[k].tolist()) if not 0 <= x < q)))
+
+    def check_repeats(self, keys: np.ndarray, n: int):
+        """Fail at the first row whose key, one per row of values, repeats an
+        earlier row's, naming the row's point, its first n entries."""
+        # a stable sort puts each repeat after the row it repeats
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            k = int(repeats.min())
+            self.fail(k, f"duplicate point {tuple(self._values[k, :n].tolist())}")
+
+    def done(self) -> np.ndarray:
+        """Every row, or the first failure raised as a ParseError."""
+        if self.error is not None:
+            raise ParseError(self.error)
+        return self._values
+
+
+def _format_rows(head: str, field: Field, rows: np.ndarray) -> str:
+    """A file: the header, with the modulus appended for an extension field,
+    then one line per row."""
+    if field.m > 1:
+        head += " " + " ".join(map(str, field.modulus))
+    return "\n".join([head] + [" ".join(map(str, row)) for row in rows.tolist()]) + "\n"
+
+
+# point-set files: header "q n [modulus]", then one point per line as n
+# coordinates; repeated points are rejected.
 def parse_point_set(text: str):
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty point-set file")
-    space = _parse_header(lines[0][1], lines[0][0])
+    space, lines = _read_header(text, "point-set")
     n, q = space.n, space.q
-    linenos = [lineno for lineno, _ in lines[1:]]
-    parts = [line.split() for _, line in lines[1:]]
-    counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-    values, parsed = _int_tokens(list(itertools.chain.from_iterable(parts)))
-    # The first bad line wins; on one line the checks run in the order below
-    # (coordinate count, integer, range, duplicate). Each check reads only the
-    # lines before the earliest failure found so far, which it may move up.
-    count = len(linenos)
-    error = None
-
-    def fail(k, message):
-        nonlocal count, error
-        count, error = k, f"line {linenos[k]}: {message}"
-
-    wrong = np.flatnonzero(counts != n)
-    if wrong.size:
-        fail(int(wrong[0]), f"expected {n} coordinates")
-    if parsed < count * n:
-        fail(parsed // n, "non-integer coordinate")
-    coords = values[: count * n].reshape(count, n)
-    outside = np.flatnonzero(((coords < 0) | (coords >= q)).any(axis=1))
-    if outside.size:
-        k = int(outside[0])
-        # like Space.encode, report the last coordinate out of range
-        x = next(x for x in reversed(coords[k].tolist()) if not 0 <= x < q)
-        fail(k, f"coordinate {x} outside 0..{q - 1}")
-    coords = coords[:count].astype(np.int64)
-    enc = coords @ q ** np.arange(n)
-    # a stable sort puts each repeat after the line it repeats
-    order = np.argsort(enc, kind="stable")
-    repeats = order[1:][enc[order[1:]] == enc[order[:-1]]]
-    if repeats.size:
-        k = int(repeats.min())
-        fail(k, f"duplicate point {tuple(coords[k].tolist())}")
-    if error is not None:
-        raise ParseError(error)
-    bits = np.zeros(space.size, dtype=bool)
+    bits = _space_zeros(space, bool)
+    rows = _Rows(lines, n, f"expected {n} coordinates", "non-integer coordinate")
+    rows.check_range(slice(None), q, lambda x: f"coordinate {x} outside 0..{q - 1}")
+    enc = space.encode_block(rows.values)
+    rows.check_repeats(enc, n)
+    rows.done()
     bits[enc] = True
     return space, PointSet(space, bits)
 
@@ -866,13 +887,7 @@ def load_point_set(path):
 
 def format_point_set(pset: PointSet) -> str:
     space = pset.space
-    head = f"{space.q} {space.n}"
-    if space.field.m > 1:
-        head += " " + " ".join(str(c) for c in space.field.modulus)
-    lines = [head]
-    for coords in pset.points():
-        lines.append(" ".join(str(c) for c in coords))
-    return "\n".join(lines) + "\n"
+    return _format_rows(f"{space.q} {space.n}", space.field, space.decode_block(pset.encodings()))
 
 
 def save_point_set(path, pset: PointSet):

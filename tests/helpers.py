@@ -9,6 +9,16 @@ import itertools
 
 import numpy as np
 
+from cutcodes import (
+    CutcodesError,
+    DenseTable,
+    LinearCode,
+    ParseError,
+    PointSet,
+    PolynomialSpec,
+    Space,
+    field_from_order,
+)
 from cutcodes.bulk import ops_for
 from cutcodes.geometry import RowReducer
 
@@ -201,6 +211,61 @@ def literal_weightsum(code):
     return True, None, pairs
 
 
+# Small vector and set operations the tests read; the package has no caller
+# for them.
+
+
+def affine_points(space):
+    """Every nonzero point of the space as a coordinate tuple, in encoding order."""
+    for e in range(1, space.size):
+        yield space.decode(e)
+
+
+def add_encodings(space, u, w):
+    """Encodings of the vector sums x + y; u and w broadcast together."""
+    return space.translate(w)(u)
+
+
+def scale_encodings(space, lam, enc):
+    """Encodings of lam * x for an array of encodings x."""
+    return space.encode_block(ops_for(space.field).mul_scalar(lam, space.decode_block(enc)))
+
+
+def span_dim(space, vectors):
+    """Dimension of the span of coordinate vectors, through Space.span_basis."""
+    digits = np.array(list(vectors), dtype=np.int64).reshape(-1, space.n)
+    return len(space.span_basis(space.encode_block(digits)))
+
+
+def subspace_contains(sub, coords):
+    """Does the subspace with canonical basis sub hold the point coords?"""
+    f = sub.space.field
+    v = list(coords)
+    for i, p in enumerate(sub.pivots):
+        c = v[p]
+        if c:
+            row = sub.rows[i]
+            for j in range(p, len(v)):
+                v[j] = f.sub(v[j], f.mul(c, row[j]))
+    return not any(v)
+
+
+def union(a, b):
+    return PointSet(a.space, a.bits | b.bits)
+
+
+def intersection(a, b):
+    return PointSet(a.space, a.bits & b.bits)
+
+
+def difference(a, b):
+    return PointSet(a.space, a.bits & ~b.bits)
+
+
+def subset_of(a, b):
+    return bool((~a.bits | b.bits).all())
+
+
 # Literal per-hyperplane / per-vector scans: the routes the hyperplane
 # counts replaced, kept as oracles for the differential tests.
 
@@ -269,7 +334,7 @@ def literal_span_cutting(pset, k):
         if red.rank < d:
             rows = [r for _, r in red.rows]
             for other in space.subspaces(d):
-                if other != sub and all(other.contains(r) for r in rows):
+                if other != sub and all(subspace_contains(other, r) for r in rows):
                     return False, (sub, other)
             raise AssertionError("a low-rank trace always has a second container")
     return True, None
@@ -310,3 +375,231 @@ def literal_shift(f):
         if not (support & (ops.add(tab, space.dot_all(v)) == 0)).any():
             return False, v
     return True, None
+
+
+# Literal per-line parsers and per-point writers for the four input formats,
+# as the package had them before one row reader and one writer served every
+# format. The point-set parser follows the same per-line policy. They build
+# the package's objects, so a differential test can compare results, and
+# raise ParseError with the package's texts, except that generator-matrix
+# rows are numbered by data line ("row N"), where the package names the file
+# line.
+
+
+def literal_data_lines(text):
+    return [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
+
+
+def _literal_header(line, lineno):
+    parts = line.split()
+    if len(parts) < 2:
+        raise ParseError(f"line {lineno}: header needs at least 'q n'")
+    try:
+        vals = [int(x) for x in parts]
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: non-integer in header") from exc
+    q, n = vals[0], vals[1]
+    modulus = tuple(vals[2:]) or None
+    if n < 1:
+        raise ParseError(f"line {lineno}: n must be >= 1")
+    try:
+        field = field_from_order(q, modulus)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    return Space(field, n)
+
+
+def literal_parse_point_set(text):
+    space = None
+    seen = set()
+    for lineno, line in literal_data_lines(text):
+        if space is None:
+            space = _literal_header(line, lineno)
+            continue
+        parts = line.split()
+        if len(parts) != space.n:
+            raise ParseError(f"line {lineno}: expected {space.n} coordinates")
+        try:
+            coords = [int(x) for x in parts]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer coordinate") from exc
+        try:
+            e = space.encode(coords)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if e in seen:
+            raise ParseError(f"line {lineno}: duplicate point {tuple(coords)}")
+        seen.add(e)
+    if space is None:
+        raise ParseError("empty point-set file")
+    return space, PointSet.from_encodings(space, sorted(seen))
+
+
+def literal_parse_function_table(text):
+    space = None
+    values = None
+    seen = None
+    for lineno, line in literal_data_lines(text):
+        if space is None:
+            space = _literal_header(line, lineno)
+            values = np.zeros(space.size, dtype=np.int64)
+            seen = np.zeros(space.size, dtype=bool)
+            continue
+        parts = line.split()
+        if len(parts) != space.n + 1:
+            raise ParseError(
+                f"line {lineno}: expected {space.n} coordinates and a value"
+            )
+        try:
+            nums = [int(x) for x in parts]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer entry") from exc
+        coords, val = nums[:-1], nums[-1]
+        if not 0 <= val < space.q:
+            raise ParseError(f"line {lineno}: value {val} outside 0..{space.q - 1}")
+        try:
+            e = space.encode(coords)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if seen[e]:
+            raise ParseError(f"line {lineno}: duplicate point {tuple(coords)}")
+        seen[e] = True
+        values[e] = val
+    if space is None:
+        raise ParseError("empty function-table file")
+    return DenseTable(space.field, space.n, values)
+
+
+def literal_parse_polynomial(text):
+    space = None
+    terms = []
+    for lineno, line in literal_data_lines(text):
+        if space is None:
+            space = _literal_header(line, lineno)
+            continue
+        parts = line.split()
+        if len(parts) != space.n + 1:
+            raise ParseError(
+                f"line {lineno}: expected a coefficient and {space.n} exponents"
+            )
+        try:
+            nums = [int(x) for x in parts]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer entry") from exc
+        coeff, exps = nums[0], nums[1:]
+        if not 0 <= coeff < space.q:
+            raise ParseError(
+                f"line {lineno}: coefficient {coeff} outside 0..{space.q - 1}"
+            )
+        if any(e < 0 for e in exps):
+            raise ParseError(f"line {lineno}: negative exponent")
+        terms.append((coeff, tuple(exps)))
+    if space is None:
+        raise ParseError("empty polynomial file")
+    return PolynomialSpec(space.field, space.n, terms)
+
+
+def literal_parse_generator_matrix(text):
+    lines = [
+        stripped
+        for raw in text.splitlines()
+        if (stripped := raw.split("#", 1)[0].strip())
+    ]
+    if not lines:
+        raise ParseError("empty generator-matrix file")
+    head = lines[0].split()
+    if len(head) < 4:
+        raise ParseError("header needs 'q length dim mode'")
+    try:
+        q, length, dim = int(head[0]), int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise ParseError("non-integer in header") from exc
+    if dim < 1:
+        raise ParseError(f"header dim {dim} is below 1")
+    mode = head[3]
+    if mode not in ("affine", "projective", "raw"):
+        raise ParseError(f"unknown mode {mode!r}")
+    try:
+        modulus = tuple(int(x) for x in head[4:]) or None
+    except ValueError as exc:
+        raise ParseError("non-integer modulus coefficient") from exc
+    try:
+        field = field_from_order(q, modulus)
+    except (ValueError, CutcodesError) as exc:
+        raise ParseError(str(exc)) from exc
+    if len(lines) - 1 != dim:
+        raise ParseError(f"expected {dim} rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != length:
+            raise ParseError(f"row {lineno}: expected {length} entries")
+        try:
+            vals = [int(x) for x in parts]
+        except ValueError as exc:
+            raise ParseError(f"row {lineno}: non-integer entry") from exc
+        if any(not 0 <= x < q for x in vals):
+            raise ParseError(f"row {lineno}: entry outside 0..{q - 1}")
+        rows.append(vals)
+    columns = None
+    ambient = None
+    if mode != "raw":
+        n = dim - 1
+        space = Space(field, max(n, 1))
+        expected = (
+            space.size - 1 if mode == "affine" else (space.size - 1) // (q - 1)
+        )
+        if n < 1 or expected != length:
+            raise ParseError(
+                f"{mode} mode: length {length} does not match dimension {dim}"
+            )
+        columns = (
+            space.affine_point_encodings()
+            if mode == "affine"
+            else space.projective_point_encodings()
+        )
+        ambient = n
+    code = LinearCode(
+        field, np.array(rows), mode=mode, columns=columns, ambient_n=ambient
+    )
+    if code.dim != dim:
+        raise ParseError(f"stored rows have rank {code.dim}, header claims {dim}")
+    return code
+
+
+def _literal_head(head, field):
+    if field.m > 1:
+        head += " " + " ".join(str(c) for c in field.modulus)
+    return head
+
+
+def literal_format_point_set(pset):
+    space = pset.space
+    lines = [_literal_head(f"{space.q} {space.n}", space.field)]
+    for coords in pset.points():
+        lines.append(" ".join(str(c) for c in coords))
+    return "\n".join(lines) + "\n"
+
+
+def literal_format_function_table(f):
+    space = f.space
+    lines = [_literal_head(f"{space.q} {space.n}", space.field)]
+    tab = f.table()
+    for e in np.nonzero(tab)[0]:
+        coords = space.decode(int(e))
+        lines.append(" ".join(str(c) for c in coords) + f" {int(tab[e])}")
+    return "\n".join(lines) + "\n"
+
+
+def literal_format_generator_matrix(code):
+    mode = code.mode
+    if mode != "raw" and (code.ambient_n is None or code.dim != code.ambient_n + 1):
+        mode = "raw"
+    lines = [_literal_head(f"{code.field.q} {code.length} {code.dim} {mode}", code.field)]
+    for row in code.basis:
+        lines.append(" ".join(str(int(x)) for x in row))
+    return "\n".join(lines) + "\n"

@@ -468,3 +468,12 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "0"
+
+
+def test_analyze_matrix_row_fault_names_the_file_line(tmp_path, capsys):
+    # the bad entry is on file line 3, below a comment and the header
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("# c\n2 3 1 raw\n1 0 2\n")
+    code, out, err = run_cli(capsys, "analyze", "--matrix", str(matrix))
+    assert code == 3
+    assert out == "" and "ParseError: line 3: entry outside 0..1" in err

@@ -32,12 +32,14 @@ from cutcodes import (
 )
 
 from helpers import (
+    add_encodings,
     direct_shift_counts,
     literal_blocking,
     literal_contained,
     literal_shift,
     literal_span_cutting,
     literal_support_spans,
+    scale_encodings,
 )
 
 # every (q, n) with q^n <= 1000 and n >= 2, for q in {2, 3, 4, 5, 7, 8, 9}
@@ -130,8 +132,8 @@ def test_vector_arithmetic_on_encodings(qn, seed):
     rng = np.random.RandomState(seed)
     u, w = rng.randint(0, space.size, 20), rng.randint(0, space.size, 20)
     lam = int(rng.randint(0, space.q))
-    sums = space.add_encodings(u, w)
-    scaled = space.scale_encodings(lam, u)
+    sums = add_encodings(space, u, w)
+    scaled = scale_encodings(space, lam, u)
     for a, b, s, m in zip(u, w, sums, scaled):
         assert s == _digit_sum(space, a, b)
         assert m == space.encode(tuple(f.mul(lam, i) for i in space.decode(int(a))))
@@ -155,7 +157,7 @@ def test_translate_block_shape_adds_every_pair(q, n):
     # a leading batch axis, as the weight-sum scan passes its (q-1, rows, 1)
     assert plus_w(np.stack([u, u[::-1]])[..., None]).tolist() == [want, want[::-1]]
     # any other shape broadcasts through the whole tables
-    assert space.add_encodings(u[None, :], w[:, None]).T.tolist() == want
+    assert add_encodings(space, u[None, :], w[:, None]).T.tolist() == want
     assert all(table.size <= space.size for table in space._sum_tables.values())
 
 

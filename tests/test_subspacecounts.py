@@ -45,7 +45,9 @@ from helpers import (
     literal_contained,
     literal_span_cutting,
     literal_span_dim,
+    scale_encodings,
     subspace_bits,
+    subspace_contains,
 )
 
 # every (q, n) with q^n <= 256 and n >= 3, so that some k in 2..n-1 exists
@@ -163,7 +165,7 @@ def test_every_hyperplane_of_k_is_checked(q, n, k):
         got = is_cutting(pset, k)
         assert not got[0] and got[1][0] == sub, g
         trace = [space.decode(int(e)) for e in np.flatnonzero(pset.bits & subspace_bits(sub))]
-        assert got[1][1] != sub and all(got[1][1].contains(x) for x in trace)
+        assert got[1][1] != sub and all(subspace_contains(got[1][1], x) for x in trace)
 
 
 # (q, n, k, basis of K, v, whether the first container of K's trace
@@ -299,7 +301,7 @@ def test_dense_plane_over_gf1021_reads_lines_from_their_points():
     line = space.hyperplane_basis(700)
     holed = PointSet(space, bits & ~subspace_bits(line))
     assert is_blocking(holed, 1) == (False, line)
-    assert holed.hyperplane_counts()[space.scale_encodings(5, space.hyperplane_normals()[700:701])] == 0
+    assert holed.hyperplane_counts()[scale_encodings(space, 5, space.hyperplane_normals()[700:701])] == 0
 
 
 # k = 1 and the exclusion of linear dimension n-1 share the route of every
