@@ -19,7 +19,8 @@ of K. Cutting always reads the annihilator side: for every hyperplane
 K n H_g of K it compares the hyperplane counts summed over g + ann K with
 those summed over ann K (see _first_uncut_subspace). Scans of d < n - 1
 stay under _GENERIC_POINT_CAP, checked before any count; hyperplanes are
-exempt.
+charged the same cap by Space.scan_hyperplane_counts, the one route of
+theirs that visits points.
 
 support_spans reads the counts of the function's zero set (in
 theorem_hypotheses the ones already taken), since supp(f) lies in H exactly
@@ -53,11 +54,9 @@ from .errors import (
     ZeroNormal,
 )
 from .functions import FunctionSpec, scalar_compatible, zero_set
-from .geometry import PointSet, Space, SubspaceBasis
+from .geometry import _GENERIC_POINT_CAP, PointSet, Space, SubspaceBasis
 
 DEFAULT_OP_BUDGET = 4 * 10**9
-
-_GENERIC_POINT_CAP = 1 << 24
 
 
 def _validate(pset: PointSet, k: int, flavor: str):
@@ -81,8 +80,9 @@ def _validate(pset: PointSet, k: int, flavor: str):
 def _require_point_cap(space: Space, d: int):
     """Refuse, before any count, a scan of the d-dimensional subspaces past the cap.
 
-    Hyperplanes (d = n - 1) are exempt: their counts are the set's
-    hyperplane counts, taken once from one transform or scan.
+    Hyperplanes (d = n - 1) are exempt here: their counts are the set's
+    hyperplane counts, taken once from one transform or from a scan that
+    checks the cap itself.
     """
     if d < space.n - 1 and space.subspace_count(d) * space.q**d > _GENERIC_POINT_CAP:
         raise BudgetExceeded(

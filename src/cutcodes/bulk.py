@@ -1,12 +1,13 @@
 """Vectorized field arithmetic on arrays of element codes, and row reduction.
 
-Prime fields use modular integer arithmetic. Extension fields, GF(4) to
-GF(2^16) alike, gather through tables of about q entries made from the
-field's log/antilog tables. A product is exp[log[a] + log[b]], where
-log[0] = 2(q - 1) puts every zero factor in exp's zero half. A sum is XOR
-in characteristic 2, and otherwise fold[spread[a] + spread[b]]: spread
-places digit l at (2p - 1)^l, so the sum has no carries, and fold, built
-one digit at a time, reduces each digit mod p.
+Every order, GF(2) to GF(2^16) and GF(65521) alike, gathers through tables
+of about q entries made from the field's log/antilog tables. A product is
+exp[log[a] + log[b]], where log[0] = 2(q - 1) puts every zero factor in
+exp's zero half. A sum is XOR in characteristic 2, and otherwise
+fold[spread[a] + spread[b]]: spread places digit l at (2p - 1)^l, so the
+sum has no carries, and fold, built one digit at a time, reduces each digit
+mod p. Over a prime field spread is the identity and fold is x mod p on
+0..2p-2.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ class FieldOps:
         self.field = field
         self.q = q = field.q
         self.p = p = field.p
-        self.prime = field.m == 1
         self.dtype = np.uint8 if q <= 256 else np.uint16  # Field refuses q > 2^16
-        if self.prime:
-            return
         top = 2 * (q - 1)
         self._log = np.array(field._log, dtype=np.intp)
         self._log[0] = top
@@ -50,29 +48,25 @@ class FieldOps:
         return np.asarray(values, dtype=self.dtype)
 
     def add(self, a, b) -> np.ndarray:
-        if self.prime:
-            return ((a.astype(np.int64) + b) % self.p).astype(self.dtype)
         if self.p == 2:
             return a ^ b
         return self._fold.take(self._spread.take(a) + self._spread.take(b))
 
     def neg(self, a) -> np.ndarray:
-        if self.prime:
-            return ((-a.astype(np.int64)) % self.p).astype(self.dtype)
         return self._neg.take(a)
 
     def sub(self, a, b) -> np.ndarray:
         return self.add(a, self.neg(np.asarray(b, dtype=self.dtype)))
 
     def mul(self, a, b) -> np.ndarray:
-        if self.prime:
-            return ((a.astype(np.int64) * b) % self.p).astype(self.dtype)
         return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def mul_scalar(self, lam: int, a) -> np.ndarray:
-        """lam * a for a single field scalar lam; one q-entry row, then a gather."""
-        if self.prime:
-            return ((int(lam) * a.astype(np.int64)) % self.p).astype(self.dtype)
+        """lam * a for a single field scalar lam; one q-entry row, then a gather.
+
+        The row costs q steps whatever the size of a, so all the multiples
+        lam * a of one array come from a single mul over a column of scalars.
+        """
         return self._exp.take(self._log + self._log[int(lam)]).take(a)
 
     def add_scalar(self, lam: int, a) -> np.ndarray:
@@ -89,34 +83,26 @@ def echelon(ops: FieldOps, rows) -> list:
 
     Row j, reduced by the pivots above it, is independent of the rows above
     exactly when it is nonzero. Its pivot is the first column holding its
-    largest entry, and it clears that column from the rows below whose
-    coefficient there is nonzero, and only from those. Prime fields work in
-    int64, where a step moves an entry by less than p^2, reduce mod p only
-    the row read next, and update one row at a time in place, which beats
-    a gather of the rows there; extension fields update the rows together.
+    largest entry, and it clears that column, in one gather over the field's
+    tables, from the rows below whose coefficient there is nonzero, and only
+    from those.
 
     Returns [(j, factors)] for the independent rows j in order; factors[i]
     is the multiple of row j subtracted from row j + 1 + i, that row's
     pivot-column entry over row j's.
     """
-    work = np.array(rows, dtype=np.int64 if ops.prime else ops.dtype)
+    work = np.array(rows, dtype=ops.dtype)
     out = []
     for j in range(len(work) if work.size else 0):
-        row = work[j] % ops.p if ops.prime else work[j]
+        row = work[j]
         pivot = row.argmax()
         lead = int(row[pivot])
         if not lead:
             continue
-        inv = ops.field.inv(lead)
         below = work[j + 1 :]
-        if ops.prime:
-            factors = below[:, pivot] * inv % ops.p
-            for i in factors.nonzero()[0]:
-                below[i] -= factors[i] * row
-        else:
-            factors = ops.mul(inv, below[:, pivot])
-            hit = factors.nonzero()[0]
-            if hit.size:
-                below[hit] = ops.add(below[hit], ops.mul(ops.neg(factors[hit])[:, None], row))
+        factors = ops.mul(ops.field.inv(lead), below[:, pivot])
+        hit = factors.nonzero()[0]
+        if hit.size:
+            below[hit] = ops.add(below[hit], ops.mul(ops.neg(factors[hit])[:, None], row))
         out.append((j, factors))
     return out

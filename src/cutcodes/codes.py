@@ -25,7 +25,7 @@ independent routes:
 Enumerative routes are budget-gated, checked before any work, and fail
 loudly instead of degrading silently. The budget formulas still charge the
 pair-by-pair cost per coordinate of the length, not the work these kernels
-do (ROADMAP item 3).
+do (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -132,9 +132,13 @@ class LinearCode:
             raise ValueError(f"unknown mode {mode!r}")
         self.field = field
         self.ops = ops_for(field)
-        self.rows = np.asarray(rows, dtype=self.ops.dtype)
-        if self.rows.ndim != 2 or self.rows.shape[0] == 0:
+        raw = np.asarray(rows)
+        if raw.ndim != 2 or raw.shape[0] == 0:
             raise ValueError("need a nonempty 2d row matrix")
+        bad = raw[(raw < 0) | (raw >= field.q)]
+        if bad.size:
+            raise ValueError(f"entry {bad[0]} outside 0..{field.q - 1}")
+        self.rows = raw.astype(self.ops.dtype)
         self.mode = mode
         self.columns = columns
         self.ambient_n = ambient_n
@@ -265,16 +269,12 @@ def _doubling_blocks(lead: np.ndarray, tail, ops: FieldOps, q: int, cap: int):
     if total * lead.size <= cap:
         words = lead[None, :]
         for row in tail:
-            layers = [words]
-            for lam in range(1, q):
-                layers.append(ops.add(words, ops.mul_scalar(lam, row)[None, :]))
-            words = np.concatenate(layers, axis=0)
+            multiples = ops.mul(np.arange(1, q)[:, None], row)
+            words = np.concatenate([words] + [ops.add(words, m) for m in multiples], axis=0)
         yield words
         return
-    last = tail[-1]
-    for lam in range(q):
-        shifted = lead if lam == 0 else ops.add(lead, ops.mul_scalar(lam, last))
-        yield from _doubling_blocks(shifted, tail[:-1], ops, q, cap)
+    for m in ops.mul(np.arange(q)[:, None], tail[-1]):
+        yield from _doubling_blocks(ops.add(lead, m), tail[:-1], ops, q, cap)
 
 
 def _class_blocks(code: LinearCode):
@@ -426,7 +426,7 @@ def is_minimal_weightsum(
         return MinimalityReport(True, "weightsum", 0)
     space = Space(code.field, code.dim)
     # a*m_i for every nonzero a and class i, shape (q-1, R, dim)
-    scaled = np.stack([ops.mul_scalar(a, msgs) for a in range(1, q)])
+    scaled = ops.mul(np.arange(1, q)[:, None, None], msgs)
     lookup = np.zeros(space.size, dtype=np.int64)
     lookup[space.encode_block(scaled)] = wt
     neg = space.encode_block(ops.neg(scaled))
@@ -561,6 +561,8 @@ def _ab_verdict(q: int, weights, zero_count, threshold) -> ABReport:
     if weights is None:
         return ABReport(False, "threshold", **context) if hit else ABReport(None, "none", **context)
     nonzero = [w for w in weights if w > 0]
+    if not nonzero:  # a zero code has no ratio
+        return ABReport(None, "distribution", weights=weights, **context)
     w_min = min(nonzero)
     w_max = max(nonzero)
     satisfied = ab_ratio_satisfied(w_min, w_max, q)

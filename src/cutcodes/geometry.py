@@ -24,7 +24,8 @@ The transform costs about n * q^2 steps per count and holds size * q
 entries, so it pays for many counts over a small field; over a large one
 with few hyperplanes (q^2 above their number, or size * q above
 _COUNT_CAP) Space.hyperplane_counts sums the set over each hyperplane's
-points instead.
+points instead, refused with BudgetExceeded when those points number more
+than _GENERIC_POINT_CAP, the cap blocking's subspace scans share.
 
 Space.translate adds encodings digitwise (XOR in characteristic 2). Its two
 callers add one row of encodings to a block of columns: the cutting scan
@@ -55,6 +56,7 @@ from .field import Field, field_from_order
 _DIGIT_CACHE_LIMIT = 1 << 22
 _COUNT_CHUNK = 1 << 18  # elements per temporary array of the count transform
 _COUNT_CAP = 1 << 22  # histogram entries (size * q) the count transform may hold
+_GENERIC_POINT_CAP = 1 << 24  # subspace points a scan of one dimension may visit
 _VECTOR_TOKENS = 160  # point-file tokens below which int() parses faster than numpy
 
 
@@ -237,6 +239,7 @@ class Space:
 
     def hyperplane(self, v, punctured: bool = True) -> "PointSet":
         """{x : v . x = 0}, origin removed unless punctured=False."""
+        self.encode(v)  # refuses a coordinate outside 0..q-1
         if not any(v):
             raise ZeroNormal("hyperplane normal must be nonzero")
         bits = self.dot_all(v) == 0
@@ -385,7 +388,8 @@ class Space:
         """c[v] = |mask n H_v| for every encoding v (c[0] = |mask|).
 
         From shift_counts when counts_by_transform says it pays for the
-        hyperplanes, otherwise from scan_hyperplane_counts.
+        hyperplanes, otherwise from scan_hyperplane_counts, which is refused
+        before any count when the hyperplanes' points pass _GENERIC_POINT_CAP.
         """
         if self.counts_by_transform(self.subspace_count(self.n - 1)):
             return self.shift_counts(mask)
@@ -398,6 +402,11 @@ class Space:
         is copied to every nonzero multiple of the hyperplane's normal, for
         blocks of scalars at a time.
         """
+        hyperplanes = self.subspace_count(self.n - 1)
+        if hyperplanes * self.q ** (self.n - 1) > _GENERIC_POINT_CAP:
+            raise BudgetExceeded(
+                f"scanning the points of {hyperplanes} hyperplanes exceeds the point cap"
+            )
         ops = ops_for(self.field)
         blocks = self.subspace_blocks(self.n - 1, "points")
         col = np.concatenate([np.count_nonzero(mask[enc], axis=1) for _, _, enc in blocks])
@@ -591,12 +600,8 @@ class SubspaceBasis:
         ops = ops_for(space.field)
         pts = np.zeros((1, space.n), dtype=ops.dtype)
         for row in self.rows:
-            row_arr = ops.asarray(row)
-            layers = [
-                ops.add(pts, ops.mul_scalar(lam, row_arr)[None, :])
-                for lam in range(space.q)
-            ]
-            pts = np.concatenate(layers, axis=0)
+            multiples = ops.mul(np.arange(space.q)[:, None], ops.asarray(row))
+            pts = np.concatenate([ops.add(pts, m) for m in multiples], axis=0)
         enc = space.encode_block(pts)
         enc.sort()
         return enc

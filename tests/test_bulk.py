@@ -1,16 +1,19 @@
 """FieldOps against Field's scalar arithmetic, and the shared elimination.
 
-Every FieldOps method is compared with the Field method it vectorises:
-exhaustively, as full column x row tables, for the orders with a built-in
-modulus, and on samples for orders above 1024 with an explicit modulus.
-bulk.echelon is checked through its two users: LinearCode's basis rows
-against the greedy one-row-at-a-time selection, and Space.span_basis
-against the literal span.
+Prime and extension fields run through the same log/antilog and digit-sum
+tables, so every FieldOps method is compared with the Field method it
+vectorises for both kinds: exhaustively, as full column x row tables, for
+small primes and the orders with a built-in modulus, and on samples for
+GF(257) and GF(65521), the primes with uint16 codes, and for orders above
+1024 with an explicit modulus. bulk.echelon, one strategy for every field,
+is checked through its two users: LinearCode's basis rows against the
+greedy one-row-at-a-time selection, and Space.span_basis against the
+literal span.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cutcodes import LinearCode, ParseError, Space, field_from_order, parse_generator_matrix
 from cutcodes.bulk import FieldOps, echelon, ops_for
@@ -24,6 +27,7 @@ LARGE_MODULI = {
     3**7: (2, 0, 1, 0, 0, 0, 0, 1),
     2**16: (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1),
 }
+SAMPLED_ORDERS = [257, 65521] + sorted(LARGE_MODULI)  # the primes take no modulus
 BINARY = ("add", "sub", "mul")
 SCALAR = ("add_scalar", "mul_scalar")
 SCALAR_OF = {"add_scalar": "add", "mul_scalar": "mul"}
@@ -58,9 +62,9 @@ def test_field_ops_match_field_exhaustively(q):
     assert got.tolist() == [field.neg(a) for a in range(q)]
 
 
-@pytest.mark.parametrize("q", sorted(LARGE_MODULI))
+@pytest.mark.parametrize("q", SAMPLED_ORDERS)
 def test_field_ops_match_field_on_samples_past_the_old_dense_limit(q):
-    field = field_from_order(q, LARGE_MODULI[q])
+    field = field_from_order(q, LARGE_MODULI.get(q))
     ops = ops_for(field)
     rng = np.random.RandomState(q)
     # zero operands on both sides, then random pairs
@@ -81,7 +85,7 @@ def test_field_ops_match_field_on_samples_past_the_old_dense_limit(q):
     assert ops.neg(a).tolist() == [field.neg(int(x)) for x in a]
 
 
-@pytest.mark.parametrize("q", [3, 4, 9, 2**11])
+@pytest.mark.parametrize("q", [3, 4, 5, 9, 257, 2**11])
 def test_python_int_operands(q):
     field = field_from_order(q, LARGE_MODULI.get(q))
     ops = ops_for(field)
@@ -92,7 +96,7 @@ def test_python_int_operands(q):
         assert ops.sub(els, lam).tolist() == [field.sub(int(x), lam) for x in els]
 
 
-@pytest.mark.parametrize("q", EXHAUSTIVE_ORDERS + sorted(LARGE_MODULI))
+@pytest.mark.parametrize("q", EXHAUSTIVE_ORDERS + sorted(LARGE_MODULI) + [65521])
 def test_tables_stay_about_q_entries(q):
     field = field_from_order(q, LARGE_MODULI.get(q))
     ops = ops_for(field)
@@ -109,8 +113,8 @@ def test_echelon_of_nothing_is_empty():
     assert echelon(ops, np.zeros((3, 4), dtype=np.int64)) == []
 
 
-# prime, characteristic 2 and odd extension fields
-BASIS_ORDERS = [2, 3, 5, 4, 8, 9, 25]
+# prime (uint16 codes at 257), characteristic 2 and odd extension fields
+BASIS_ORDERS = [2, 3, 5, 257, 4, 8, 9, 25]
 
 
 @st.composite
@@ -152,6 +156,8 @@ def test_basis_rows_equal_the_greedy_selection(case):
 def test_span_basis_spans_the_points(case):
     field, rows = case
     n = rows.shape[1]
+    # point encodings are int64: GF(257)^8 and GF(257)^9 do not fit them
+    assume(field.q**n < 2**63)
     space = Space(field, n)
     points = [tuple(int(x) for x in row) for row in rows]
     basis = space.span_basis(space.encode_block(rows.astype(np.int64)))

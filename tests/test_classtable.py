@@ -110,6 +110,8 @@ def test_zero_code_has_no_pairs(rows):
         rep = scan(code)
         assert (rep.minimal, rep.witness, rep.pairs_checked) == (True, None, 0)
     assert minimal_codewords(code) == []
+    ab = ab_check(code)
+    assert (ab.satisfied, ab.method, ab.w_min, ab.w_max) == (None, "distribution", None, None)
 
 
 def test_weightsum_memory_stays_near_the_lookup():

@@ -13,6 +13,7 @@ from cutcodes import (
     NotScalarCompatible,
     ParseError,
     PolynomialSpec,
+    Space,
     WeightStaircase,
     ab_check,
     ab_r_threshold,
@@ -351,3 +352,16 @@ def test_raw_code_basics():
         LinearCode(field_from_order(2), np.zeros((0, 3)))
     with pytest.raises(ValueError):
         LinearCode(field_from_order(2), [[1, 0]], mode="bogus")
+    # entries and normal coordinates outside 0..q-1 are refused, not read mod p
+    for q, rows, bad in [
+        (3, [[1, 5, 0], [0, 1, 1]], 5),
+        (4, [[1, 5, 0], [0, 1, 1]], 5),
+        (3, [[1, -1, 0], [0, 1, 1]], -1),
+        (3, np.array([[1, 0, 0], [0, 1, -2]]), -2),
+    ]:
+        with pytest.raises(ValueError, match=f"entry {bad} outside 0..{q - 1}"):
+            LinearCode(field_from_order(q), rows)
+    space = Space(field_from_order(3), 2)
+    for v, bad in [((1, 4), 4), ((-1, 1), -1)]:
+        with pytest.raises(ValueError, match=f"coordinate {bad} outside 0..2"):
+            space.hyperplane(v)

@@ -305,7 +305,8 @@ def test_dense_plane_over_gf1021_reads_lines_from_their_points():
 
 
 # k = 1 and the exclusion of linear dimension n-1 share the route of every
-# other codimension, but hyperplane scans stay outside the point cap.
+# other codimension, but hyperplane counts from the transform stay outside
+# the point cap; only the per-hyperplane scan is charged it.
 
 
 def test_hyperplane_exclusion_is_served_past_the_point_cap():
@@ -319,6 +320,31 @@ def test_hyperplane_exclusion_is_served_past_the_point_cap():
     assert (rep.blocking, rep.cutting, rep.ks_blocking, rep.dimension) == (True, False, True, 12)
     assert rep.witnesses["trace_subspace"] == space.hyperplane_basis(0).as_lists()
     assert rep.witnesses["containing_subspace"][-1] == [0] * 11 + [1, 1]
+
+
+def test_hyperplane_scan_past_the_point_cap_is_refused(tmp_path, capsys):
+    # GF(2)^22 is too large for the transform, and its scan would visit
+    # 2^22 - 1 hyperplanes of 2^21 points each
+    space = _space(2, 22)
+    assert not space.counts_by_transform(space.subspace_count(21))
+    pset = PointSet.from_encodings(space, [1, 2, 3])
+    message = f"scanning the points of {2**22 - 1} hyperplanes exceeds the point cap"
+    path = tmp_path / "set.txt"
+    save_point_set(path, pset)
+    with mock.patch.multiple(
+        Space, subspace_blocks=_refuse_everything, hyperplane_normals=_refuse_everything
+    ):
+        with pytest.raises(BudgetExceeded) as err:
+            is_blocking(pset, 1)
+        assert str(err.value) == message
+        capsys.readouterr()
+        assert main(["blocking", "--k", "1", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"over budget: {message}\n"
+    # the planes and the 3-space over large fields that do scan stay under the cap
+    for q, n in [(1021, 2), (131, 2), (47, 3)]:
+        space = _space(q, n)
+        assert not space.counts_by_transform(space.subspace_count(n - 1))
+        assert space.subspace_count(n - 1) * q ** (n - 1) <= _GENERIC_POINT_CAP
 
 
 @pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
