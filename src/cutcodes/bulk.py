@@ -62,11 +62,7 @@ class FieldOps:
         return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def mul_scalar(self, lam: int, a) -> np.ndarray:
-        """lam * a for a single field scalar lam; one q-entry row, then a gather.
-
-        The row costs q steps whatever the size of a, so all the multiples
-        lam * a of one array come from a single mul over a column of scalars.
-        """
+        """lam * a for a single field scalar lam; one q-entry row, then a gather."""
         return self._exp.take(self._log + self._log[int(lam)]).take(a)
 
     def add_scalar(self, lam: int, a) -> np.ndarray:

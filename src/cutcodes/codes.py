@@ -138,7 +138,7 @@ class LinearCode:
         bad = raw[(raw < 0) | (raw >= field.q)]
         if bad.size:
             raise ValueError(f"entry {bad[0]} outside 0..{field.q - 1}")
-        self.rows = raw.astype(self.ops.dtype)
+        self.rows = raw.astype(self.ops.dtype, copy=False)
         self.mode = mode
         self.columns = columns
         self.ambient_n = ambient_n
@@ -263,17 +263,25 @@ def _class_messages(dim: int, q: int, dtype) -> np.ndarray:
     return ((enc[:, None] // q ** np.arange(dim, dtype=np.int64)) % q).astype(dtype)
 
 
+def _multiples(ops: FieldOps, row: np.ndarray, first: int, q: int, cap: int):
+    """lam * row for lam = first..q-1: one mul per column of scalars, not one
+    per lam, with the column's 8-byte indices within cap bytes."""
+    step = max(1, cap // (8 * row.size))
+    for lo in range(first, q, step):
+        yield from ops.mul(np.arange(lo, min(lo + step, q))[:, None], row)
+
+
 def _doubling_blocks(lead: np.ndarray, tail, ops: FieldOps, q: int, cap: int):
     """Blocks of lead + span(tail) combos, ascending g."""
     total = q ** len(tail)
     if total * lead.size <= cap:
         words = lead[None, :]
         for row in tail:
-            multiples = ops.mul(np.arange(1, q)[:, None], row)
-            words = np.concatenate([words] + [ops.add(words, m) for m in multiples], axis=0)
+            layers = [ops.add(words, m) for m in _multiples(ops, row, 1, q, cap)]
+            words = np.concatenate([words] + layers, axis=0)
         yield words
         return
-    for m in ops.mul(np.arange(q)[:, None], tail[-1]):
+    for m in _multiples(ops, tail[-1], 0, q, cap):
         yield from _doubling_blocks(ops.add(lead, m), tail[:-1], ops, q, cap)
 
 

@@ -184,6 +184,30 @@ def test_is_minimal_both_refuses_before_enumerating(monkeypatch):
     assert calls == []
 
 
+def test_split_blocks_bound_the_columns_of_multiples(monkeypatch):
+    # with q * L above the block cap the multiples of the last row come in
+    # columns of at most cap bytes of indices, one per lam at the smallest
+    # cap, never as one q x L array; under the cap a short row's leaf takes
+    # them in several columns
+    field = field_from_order(4093)
+    rng = np.random.RandomState(5)
+    for length, cap in [(2000, 1 << 12), (2000, 1 << 20), (8, 1 << 15)]:
+        rows = rng.randint(0, 4093, (2, length))
+        rows[:, :2] = [[1, 0], [0, 1]]
+        whole = weight_distribution(LinearCode(field, rows))
+        monkeypatch.setattr(codes, "_BLOCK_ELEMS", cap)
+        code = LinearCode(field, rows)
+        tracemalloc.start()
+        try:
+            split = weight_distribution(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert split == whole
+        assert peak < 8 * 2**20  # one q x L intp array is 65 MB at length 2000
+
+
 def test_split_blocks_keep_class_order(monkeypatch):
     # a block cap below one class row's span forces the recursive split
     monkeypatch.setattr(codes, "_BLOCK_ELEMS", 12)

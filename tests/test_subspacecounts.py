@@ -5,7 +5,7 @@ read |S n K| from the points of K or from the hyperplane counts over ann K
 (Space.subspace_blocks). These tests compare verdicts and witnesses with
 the literal per-subspace loops in both flavors, plant failures, force each
 side of the points/annihilator choice, check that over-cap requests are
-refused before any count while hyperplane scans are never capped, check
+refused before any count, the per-hyperplane scan included, check
 the per-Space memo of small annihilator enumerations, check that a
 points-side report takes no hyperplane counts, check that a failing
 trace's container is the first in canonical order on either side of the
@@ -340,11 +340,26 @@ def test_hyperplane_scan_past_the_point_cap_is_refused(tmp_path, capsys):
         capsys.readouterr()
         assert main(["blocking", "--k", "1", "--in", str(path)]) == 2
     assert capsys.readouterr().err == f"over budget: {message}\n"
-    # the planes and the 3-space over large fields that do scan stay under the cap
-    for q, n in [(1021, 2), (131, 2), (47, 3)]:
+    # the first refused scans: planes from q = 4096, 3-spaces from q = 64,
+    # and every space of n >= 4 too large for the transform
+    for q, n, modulus in [(4099, 2, None), (64, 3, (1, 1, 0, 0, 0, 0, 1)), (67, 3, None), (23, 4, None)]:
+        space = Space(field_from_order(q, modulus), n)
+        assert not space.counts_by_transform(space.subspace_count(n - 1))
+        with mock.patch.object(Space, "subspace_blocks", _refuse_everything):
+            with pytest.raises(BudgetExceeded, match="exceeds the point cap$"):
+                space.hyperplane_counts(np.zeros(space.size, dtype=bool))
+    # the planes and the 3-spaces over large fields that do scan stay under the cap
+    for q, n in [(1021, 2), (131, 2), (47, 3), (61, 3)]:
         space = _space(q, n)
         assert not space.counts_by_transform(space.subspace_count(n - 1))
         assert space.subspace_count(n - 1) * q ** (n - 1) <= _GENERIC_POINT_CAP
+    # and GF(61)^3, the largest prime 3-space under it, is scanned: 3,783 planes of 3,721 points
+    mask = np.zeros(space.size, dtype=bool)
+    mask[[1, 62, 5000, 123456]] = True
+    counts = space.hyperplane_counts(mask)
+    assert counts[0] == 4
+    for v in (1, 61, 3722, 99999, space.size - 1):
+        assert counts[v] == np.count_nonzero(mask & (space.dot_all(space.decode(v)) == 0))
 
 
 @pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
