@@ -7,6 +7,10 @@ representatives in PG(n-1, q); a projective subspace of projective
 dimension s is handled through the linear subspace of dimension s+1.
 All scans run in the canonical subspace order of Space.subspaces, so
 witnesses are deterministic: always the first failure in that order.
+A request checks its set against the flavor once: the public is_blocking,
+is_cutting and is_ks_blocking each check it, blocking_report once through
+is_blocking, and theorem_hypotheses not at all, since zero_set builds valid
+sets; past the check they share the unchecked cores _blocking and _cutting.
 
 Every codimension k and containment dimension s reads |S n K| block by
 block from Space.subspace_blocks, in the same canonical order, on whichever
@@ -17,7 +21,9 @@ hyperplane, ann K = span(h) and the sum reads c[h] itself.
 Blocking looks for a count of 0 and the exclusion for a count equal to all
 of K. Cutting always reads the annihilator side: for every hyperplane
 K n H_g of K it compares the hyperplane counts summed over g + ann K with
-those summed over ann K (see _first_uncut_subspace). Scans of d < n - 1
+those summed over ann K (see _first_uncut_subspace), once K's count
+leaves the check open: a K with fewer than d points of the set fails, and
+one with more than a hyperplane of K holds is spanned. Scans of d < n - 1
 stay under _GENERIC_POINT_CAP, checked before any count; hyperplanes are
 charged the same cap by Space.scan_hyperplane_counts, the one route of
 theirs that visits points.
@@ -140,6 +146,11 @@ def set_dimension(pset: PointSet, flavor: str = "vectorial") -> int:
 def is_blocking(pset: PointSet, k: int, flavor: str = "vectorial"):
     """Does the set meet every codimension-k subspace? (verdict, missed one)."""
     _validate(pset, k, flavor)
+    return _blocking(pset, k)
+
+
+def _blocking(pset: PointSet, k: int):
+    """is_blocking on a set already validated for k and its flavor."""
     space = pset.space
     _require_point_cap(space, space.n - k)
     h = _first_count(pset, space.n - k, 0)
@@ -151,7 +162,7 @@ def _first(flags) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
+def _first_uncut_subspace(pset: PointSet, d: int, flavor: str) -> Optional[int]:
     """Canonical index of the first d-dim subspace K (d <= n - 1) the trace does not span.
 
     The trace S n K fails to span K exactly when it lies in a hyperplane
@@ -164,30 +175,38 @@ def _first_uncut_subspace(pset: PointSet, d: int) -> Optional[int]:
     g ranges over the codimension-2 flags of H_h. The sums take one gather
     per vector u, not a reduction over an axis only q^k long; g depends
     only on the pivot pattern, so Space.translate takes its digits once per
-    pattern and each u costs a few row takes. A K holding
-    fewer than d points of the set fails without the check, which bounds
-    the scan; blocks are checked in order and the first failure wins.
+    pattern and each u costs a few row takes.
+
+    Two counting rules settle a K without the check. A K holding fewer
+    than d points of the set fails, which bounds the scan. A K holding more
+    points than a hyperplane of K can, room = q^(d-1) - 1 nonzero points
+    (or (q^(d-1) - 1) / (q - 1) canonical representatives for the
+    projective flavor), is spanned and skipped. Blocks are checked in order
+    and the first failure wins.
     """
     space = pset.space
     small = Space(space.field, d)
     reps = np.concatenate([[0], small.projective_point_encodings()])
     digits = small.decode_block(reps)
+    room = space.q ** (d - 1) - 1
+    if flavor == "projective":
+        room //= space.q - 1
     c = pset.hyperplane_counts()
     last = None
     for start, pivots, enc, hits in _subspace_counts(pset, d, reps.size, "annihilator"):
         stop = _first(hits < d)
-        enc = enc[:stop]
+        rows = np.flatnonzero(hits[:stop] <= room)  # the K left to check
         if pivots != last:  # g depends only on the pivot pattern
             g = digits @ space.places[list(pivots)]
             plus_g, at_g, last = space.translate(g[None, :]), c[g], pivots
-        sums = np.repeat(at_g[None, :], enc.shape[0], axis=0)  # u = 0
-        for u in enc.T[1:]:
+        sums = np.repeat(at_g[None, :], rows.size, axis=0)  # u = 0
+        for u in enc[rows].T[1:]:
             sums += c[plus_g(u[:, None])]
         b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
-        if b is None:
-            b = stop
         if b is not None:
-            return start + b
+            return start + int(rows[b])
+        if stop is not None:
+            return start + stop
     return None
 
 
@@ -224,6 +243,11 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
     and agree exactly, witnesses included.
     """
     _validate(pset, k, flavor)
+    return _cutting(pset, k, flavor, method)
+
+
+def _cutting(pset: PointSet, k: int, flavor: str, method: str = "span"):
+    """is_cutting on a set already validated for k and its flavor."""
     if method not in ("span", "pairwise"):
         raise ValueError(f"unknown cutting method {method!r}")
     space = pset.space
@@ -242,7 +266,7 @@ def is_cutting(pset: PointSet, k: int, flavor: str = "vectorial", method: str = 
                     return False, (sub, other)
         return True, None
     _require_point_cap(space, d)
-    h = _first_uncut_subspace(pset, d)
+    h = _first_uncut_subspace(pset, d, flavor)
     if h is None:
         return True, None
     sub = space.subspace_basis(d, h)
@@ -259,7 +283,7 @@ def is_ks_blocking(pset: PointSet, k: int, s: int, flavor: str = "vectorial"):
     """
     _validate(pset, k, flavor)
     lin_s = _linear_s(pset.space, s, flavor)
-    return _ks_verdict(pset, lin_s, flavor, *is_blocking(pset, k, flavor))
+    return _ks_verdict(pset, lin_s, flavor, *_blocking(pset, k))
 
 
 def _linear_s(space: Space, s: int, flavor: str) -> int:
@@ -399,12 +423,11 @@ def blocking_report(
     method: str = "span",
     check_cutting: bool = True,
 ) -> BlockingReport:
-    _validate(pset, k, flavor)
-    blocked, missed = is_blocking(pset, k, flavor)
+    blocked, missed = is_blocking(pset, k, flavor)  # the one validation
     cutting: Optional[bool] = None
     cut_wit = None
     if check_cutting:
-        cutting, cut_wit = is_cutting(pset, k, flavor, method=method)
+        cutting, cut_wit = _cutting(pset, k, flavor, method)
     ks_ok = None
     witnesses = {
         "missed_subspace": _sub_json(missed),
@@ -508,7 +531,7 @@ def theorem_hypotheses(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     dim = set_dimension(pset, flavor)
-    cutting, cut_wit = is_cutting(pset, 1, flavor)
+    cutting, cut_wit = _cutting(pset, 1, flavor)  # zero_set gives a valid set
     lin_s = s + 1 if flavor == "projective" else s
     contained = _contained_subspace(pset, lin_s, flavor)
     exclusion_ok = contained is None

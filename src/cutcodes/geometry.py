@@ -15,6 +15,15 @@ per Space and re-sliced for every caller, so blocking, cutting, the
 exclusion and the hyperplane normals share one build; the points side,
 whose scans often stop at their first block, is built afresh each time.
 
+A PointSet is a bitmap over the q^n encodings that keeps its sorted
+encodings beside it: a set read from a file, given by encodings or built
+from a subspace carries them from the start, and one built from a bitmap
+(zero sets, hyperplanes) finds them once, on first use. Its size, points
+and validation then cost O(|S|), not a scan of the bitmap. Encodings are
+int64, so Space.places, through which every encoding array is formed,
+refuses with BudgetExceeded a space whose q^n - 1 passes 2^63 - 1; Python
+int encodings (Space.encode and decode) and sizes stay exact at any q^n.
+
 Hyperplane counts come from one exact transform instead of a scan per
 hyperplane: Space.shift_counts gives #{x in a set : values[x] + v.x = 0}
 for every v at once, so a point set's column c[v] = |S n H_v| (cached on
@@ -134,7 +143,16 @@ class Space:
     # point encoding -------------------------------------------------------
     @functools.cached_property
     def places(self) -> np.ndarray:
-        """q^i, the weight of coordinate x_(i+1) in an encoding."""
+        """q^i, the weight of coordinate x_(i+1) in an encoding.
+
+        Every int64 encoding is formed through these weights, so a space
+        whose encodings pass int64 (q^n - 1 > 2^63 - 1) is refused here.
+        """
+        if self.size - 1 > np.iinfo(np.int64).max:
+            raise BudgetExceeded(
+                f"GF({self.q})^{self.n} has q^n = {self.size} points, "
+                "too many for int64 encodings"
+            )
         return self.q ** np.arange(self.n, dtype=np.int64)
 
     def encode(self, coords) -> int:
@@ -515,7 +533,6 @@ class Space:
         """subspace_blocks, built from the canonical bases' free entries."""
         q, n = self.q, self.n
         ops = ops_for(self.field)
-        weight = q ** np.arange(n, dtype=np.int64)
         start = 0
         for pivots, free in self._pivot_patterns(d):
             others = [c for c in range(n) if c not in pivots]
@@ -529,7 +546,7 @@ class Space:
                 terms = [[(others.index(c), j) for j, (i, c) in enumerate(free) if i == row] for row in range(d)]
             r, m = len(units), len(free)
             combo = ops.asarray((np.arange(q**r)[:, None] // q ** np.arange(r)) % q)
-            base = combo.astype(np.int64) @ weight[units]
+            base = combo.astype(np.int64) @ self.places[units]
             digit = q ** np.arange(m - 1, -1, -1, dtype=np.int64)  # first free entry most significant
             rows = max(1, _COUNT_CHUNK // (per or q**r))
             total = q**m
@@ -545,7 +562,7 @@ class Space:
                         term = ops.mul(combo[None, :, i], entry[:, None])
                         val = term if val is None else ops.add(val, term)
                     if val is not None:
-                        enc += val.astype(np.int64) * weight[col]
+                        enc += val.astype(np.int64) * self.places[col]
                 yield start + lo, pivots, enc
             start += total
 
@@ -607,11 +624,13 @@ class SubspaceBasis:
         return enc
 
     def point_set(self, punctured: bool = False) -> "PointSet":
+        enc = self.point_encodings()
         bits = np.zeros(self.space.size, dtype=bool)
-        bits[self.point_encodings()] = True
+        bits[enc] = True
         if punctured:
             bits[0] = False
-        return PointSet(self.space, bits)
+            enc = enc[1:]  # the origin, encoding 0, sorts first
+        return PointSet._of_sorted(self.space, bits, enc)
 
     def normal(self) -> tuple:
         """Canonical normal vector; only defined for hyperplanes."""
@@ -645,38 +664,45 @@ class SubspaceBasis:
 
 
 class PointSet:
-    """A subset of GF(q)^n as a boolean bitmap indexed by point encoding."""
+    """A subset of GF(q)^n as a boolean bitmap indexed by point encoding,
+    with its sorted encodings kept beside it (see _of_sorted)."""
 
-    __slots__ = ("space", "bits", "_count", "_hyperplane_counts")
+    __slots__ = ("space", "bits", "_encodings", "_hyperplane_counts")
 
     def __init__(self, space: Space, bits: np.ndarray):
         if bits.shape != (space.size,) or bits.dtype != np.bool_:
             raise ValueError("bits must be a boolean array over all encodings")
         self.space = space
         self.bits = bits
-        self._count = None
+        self._encodings = None
         self._hyperplane_counts = None
 
     @classmethod
+    def _of_sorted(cls, space: Space, bits: np.ndarray, enc: np.ndarray) -> "PointSet":
+        """The set of bitmap bits, whose sorted distinct encodings enc are
+        already known; encodings() and len() then never scan the bitmap."""
+        pset = cls(space, bits)
+        enc.flags.writeable = False
+        pset._encodings = enc
+        return pset
+
+    @classmethod
     def from_encodings(cls, space: Space, encodings) -> "PointSet":
-        bits = np.zeros(space.size, dtype=bool)
         if not isinstance(encodings, np.ndarray):
             encodings = list(encodings)
-        enc = np.asarray(encodings, dtype=np.int64)
-        if enc.size:
-            if enc.min() < 0 or enc.max() >= space.size:
-                raise ValueError("encoding outside the space")
-            bits[enc] = True
-        return cls(space, bits)
+        enc = np.unique(np.asarray(encodings, dtype=np.int64))
+        if enc.size and (enc[0] < 0 or enc[-1] >= space.size):
+            raise ValueError("encoding outside the space")
+        bits = np.zeros(space.size, dtype=bool)
+        bits[enc] = True
+        return cls._of_sorted(space, bits, enc)
 
     @classmethod
     def from_points(cls, space: Space, points) -> "PointSet":
         return cls.from_encodings(space, [space.encode(p) for p in points])
 
     def __len__(self) -> int:
-        if self._count is None:
-            self._count = int(self.bits.sum())
-        return self._count
+        return self.encodings().size
 
     def hyperplane_counts(self) -> np.ndarray:
         """c[v] = |S n H_v| for every encoding v (c[0] = |S|), computed once."""
@@ -691,7 +717,11 @@ class PointSet:
         return bool(self.bits[self.space.encode(coords)])
 
     def encodings(self) -> np.ndarray:
-        return np.nonzero(self.bits)[0]
+        """The sorted encodings of the set's points (read-only), found once."""
+        if self._encodings is None:
+            self._encodings = np.flatnonzero(self.bits)
+            self._encodings.flags.writeable = False
+        return self._encodings
 
     def points(self):
         for e in self.encodings():
@@ -705,7 +735,7 @@ class PointSet:
             return self
         bits = self.bits.copy()
         bits[0] = False
-        return PointSet(self.space, bits)
+        return PointSet._of_sorted(self.space, bits, self.encodings()[1:])
 
     def __eq__(self, other):
         return (
@@ -883,7 +913,7 @@ def parse_point_set(text: str):
     rows.check_repeats(enc, n)
     rows.done()
     bits[enc] = True
-    return space, PointSet(space, bits)
+    return space, PointSet._of_sorted(space, bits, np.sort(enc))
 
 
 def load_point_set(path):

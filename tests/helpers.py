@@ -377,6 +377,28 @@ def literal_shift(f):
     return True, None
 
 
+def literal_scalar_degree(f):
+    """Least d in 0..q-2 with f(lam x) = lam^d f(x) for every lam in 2..q-1
+    and every nonzero x, else None: each (lam, d) pair compared in full."""
+    space, field = f.space, f.field
+    if field.q == 2:
+        return 0
+    ops = ops_for(field)
+    tab = f.table()
+    cols = space.digit_columns()
+    candidates = list(range(field.q - 1))
+    for lam in range(2, field.q):
+        lhs = tab[space.encode_block(ops.mul_scalar(lam, cols))][1:].astype(np.int64)
+        candidates = [
+            d
+            for d in candidates
+            if np.array_equal(lhs, ops.mul_scalar(field.pow(lam, d), tab[1:]).astype(np.int64))
+        ]
+        if not candidates:
+            return None
+    return candidates[0]
+
+
 # Literal per-line parsers and per-point writers for the four input formats,
 # as the package had them before one row reader and one writer served every
 # format. The point-set parser follows the same per-line policy. They build

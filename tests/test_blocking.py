@@ -82,6 +82,24 @@ def test_span_and_pairwise_methods_agree(q, n):
             assert span == pairwise  # verdict and witness both
 
 
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (2, 5)])
+@pytest.mark.parametrize("flavor", ["vectorial", "projective"])
+def test_trace_with_exactly_room_points_is_checked(q, n, flavor):
+    # K = {x_n = 0}, W = {x_(n-1) = x_n = 0}: S = (W - 0) u (every point off
+    # K) meets K in W - 0, as many points as a hyperplane of K can hold, so
+    # the counting bound must not skip K, the first hyperplane in order
+    space = Space(field_from_order(q), n)
+    enc = np.arange(1, space.size)
+    keep = (enc >= q ** (n - 1)) | (enc < q ** (n - 2))
+    if flavor == "projective":
+        keep &= space.leading_digits(enc) == 1
+    pset = PointSet.from_encodings(space, enc[keep])
+    verdict, (trace, container) = is_cutting(pset, 1, flavor)
+    assert verdict is False
+    assert trace.normal() == (0,) * (n - 1) + (1,)
+    assert is_cutting(pset, 1, flavor, method="pairwise") == (verdict, (trace, container))
+
+
 def test_pairwise_method_budget():
     space = Space(field_from_order(3), 8)
     s = PointSet.from_encodings(space, [1, 2])
@@ -132,12 +150,14 @@ def test_ks_blocking_range_checks():
 def test_validation_origin_and_canonical():
     space = Space(field_from_order(3), 3)
     with_origin = PointSet.from_encodings(space, [0, 1])
-    with pytest.raises(OriginInSet):
-        is_blocking(with_origin, 1)
     # (0,2,0) is not a canonical representative: leading nonzero must be 1
     bad = PointSet.from_points(space, [(0, 2, 0)])
-    with pytest.raises(NonCanonicalPoint):
-        is_blocking(bad, 1, flavor="projective")
+    ks = lambda pset, k, flavor="vectorial": is_ks_blocking(pset, k, 1, flavor)  # noqa: E731
+    for check in (is_blocking, is_cutting, ks):
+        with pytest.raises(OriginInSet):
+            check(with_origin, 1)
+        with pytest.raises(NonCanonicalPoint):
+            check(bad, 1, flavor="projective")
 
 
 def test_set_dimension():

@@ -363,6 +363,19 @@ def test_survey_degrades_to_certificates_under_budget(capsys):
         assert len(rows) == len(expected), argv
 
 
+def test_survey_row_past_int64_encodings_keeps_its_threshold(capsys):
+    # n = 66: 2^66 points need encodings past int64, which Space refuses only
+    # where encodings are formed; the threshold row forms none
+    code, out, _ = run_cli(capsys, "survey", "--q", "2", "--r", "33", "--k", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{
+        "ab_method": "threshold", "ab_satisfied": False, "dim": 67, "k": 2,
+        "length": 2**66 - 1, "minimal": None, "minimality_method": "none", "n": 66,
+        "q": 2, "r": 33, "theorem_applies": None, "threshold": 55340232221128654847,
+        "threshold_hit": True, "w_max": None, "w_min": None, "zero_count": 73786976277658337281,
+    }]
+
+
 def test_survey_refuses_a_bad_r_before_building_any_code(capsys, monkeypatch):
     import cutcodes.codes
 

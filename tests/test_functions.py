@@ -11,6 +11,7 @@ from cutcodes import (
     ParseError,
     PolynomialSpec,
     PolyZeroIndicator,
+    Space,
     WeightStaircase,
     field_from_order,
     format_function_table,
@@ -26,7 +27,7 @@ from cutcodes import (
     scalar_compatible,
     zero_set,
 )
-from helpers import ZERO_STAR, naive_block_value, naive_zero_star_count
+from helpers import ZERO_STAR, literal_scalar_degree, naive_block_value, naive_zero_star_count
 
 
 @pytest.mark.parametrize("q,r,k", sorted(ZERO_STAR))
@@ -104,6 +105,43 @@ def test_scalar_degree_matches_exhaustive_scan():
                 assert f.evaluate(scaled) == field.mul(
                     field.pow(lam, d), f.evaluate(coords)
                 )
+
+
+def _homogeneous_table(field, n, d, rng, density):
+    """A table with f(lam x) = lam^d f(x): random values on the canonical
+    representatives (zero with probability 1 - density), spread by scaling."""
+    space = Space(field, n)
+    tab = np.zeros(space.size, dtype=np.int64)
+    for e in space.projective_point_encodings():
+        x = space.decode(int(e))
+        value = int(rng.integers(1, field.q)) if rng.random() < density else 0
+        for lam in range(1, field.q):
+            tab[space.encode([field.mul(lam, c) for c in x])] = field.mul(field.pow(lam, d), value)
+    return tab
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_scalar_degree_equals_the_exhaustive_scan(q):
+    # zero, random, sparse and homogeneous tables of every degree: the one
+    # generator check must agree with every (lam, d) pair compared in full
+    field = field_from_order(q)
+    rng = np.random.default_rng(q)
+    n = 2 if q > 9 else 3
+    size = q**n
+    tables = [np.zeros(size, dtype=np.int64), rng.integers(0, q, size)]
+    sparse = np.zeros(size, dtype=np.int64)
+    sparse[rng.integers(1, size, 3)] = rng.integers(1, q, 3)
+    tables.append(sparse)
+    for d in range(q - 1):
+        for density in (0.2, 1.0):
+            tab = _homogeneous_table(field, n, d, rng, density)
+            tables.append(tab)
+            broken = tab.copy()
+            broken[int(rng.integers(1, size))] = int(rng.integers(0, q))
+            tables.append(broken)
+    for tab in tables:
+        f = DenseTable(field, n, tab)
+        assert f.scalar_degree() == literal_scalar_degree(f)
 
 
 def test_staircase_basics():

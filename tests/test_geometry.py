@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutcodes import (
+    BudgetExceeded,
     DimensionOutOfRange,
     ParseError,
     PointSet,
@@ -318,3 +319,48 @@ def test_subspace_basis_equality():
     assert subs[0] == subs[0]
     assert subs[0] != subs[1]
     assert len({hash(s) for s in subs}) > 1
+
+
+def test_encodings_past_int64_are_refused():
+    # GF(257)^8 has q^n > 2^63: this point once encoded to a negative number
+    # and span_basis returned a row outside its span
+    space = Space(field_from_order(257), 8)
+    point = np.array([[172, 47, 117, 192, 251, 195, 9, 211]])
+    for form in (space.encode_block, space.span_basis, space.decode_block):
+        with pytest.raises(BudgetExceeded, match=f"q\\^n = {257**8}"):
+            form(point)
+    assert space.encode(point[0].tolist()) == 15627607615869817770  # Python ints
+    # 2^63 points: the last encoding is the largest int64
+    edge = Space(field_from_order(2), 63)
+    assert edge.encode_block(np.ones((1, 63), dtype=np.int64)).tolist() == [2**63 - 1]
+
+
+class _Unreadable:
+    """Stands in for a bitmap that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"bits.{name} was read")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("bits were read")
+
+    def __getitem__(self, key):
+        raise AssertionError("bits were read")
+
+
+def test_kept_encodings_answer_without_the_bitmap():
+    space = Space(field_from_order(3), 4)
+    line = SubspaceBasis(space, ((1, 0, 2, 0),), (0,))
+    sets = [
+        (parse_point_set("3 4\n2 0 0 1\n0 1 0 0\n1 1 1 1\n")[1], [3, 29, 40]),
+        (PointSet.from_encodings(space, [40, 3, 3, 17]), [3, 17, 40]),
+        (PointSet.from_encodings(space, iter([5])), [5]),
+        (PointSet.from_encodings(space, []), []),
+        (line.point_set(), [0, 11, 19]),
+        (line.point_set(punctured=True), [11, 19]),
+    ]
+    for pset, want in sets:
+        pset.bits = _Unreadable()
+        assert pset.encodings().tolist() == want
+        assert len(pset) == len(want)
+        assert [space.encode(p) for p in pset.points()] == want

@@ -200,10 +200,28 @@ def test_support_spans_and_shift_equal_literal_scans(f):
 
 def test_projective_validation_reads_only_the_set():
     space = _space(3, 3)
-    for bad in ([0], [0, 1], [space.encode((0, 2, 1))]):
-        with pytest.raises(NonCanonicalPoint):
-            is_blocking(PointSet.from_encodings(space, bad), 1, flavor="projective")
-    assert is_blocking(PointSet.from_encodings(space, [1, 3]), 1, flavor="projective")[0] is False
+    ks = lambda pset, k, flavor: is_ks_blocking(pset, k, 0, flavor)  # noqa: E731
+    for check in (is_blocking, is_cutting, ks):
+        for bad in ([0], [0, 1], [space.encode((0, 2, 1))], [1, space.encode((2, 1, 1))]):
+            with pytest.raises(NonCanonicalPoint):
+                check(PointSet.from_encodings(space, bad), 1, "projective")
+        assert check(PointSet.from_encodings(space, [1, 3]), 1, "projective")[0] is False
+
+
+def test_one_flavor_check_per_request():
+    # blocking_report checks the set once, not once per verdict;
+    # theorem_hypotheses builds valid sets and checks each at most once
+    space = _space(3, 3)
+    pset = PointSet.from_encodings(space, space.projective_point_encodings()[:9])
+    validate = cutcodes.blocking._validate
+    for flavor, s in (("projective", 0), ("vectorial", 1)):
+        with mock.patch.object(cutcodes.blocking, "_validate", wraps=validate) as check:
+            blocking_report(pset, 1, flavor, s=s)
+        assert check.call_count == 1, flavor
+    for mode in ("affine", "projective"):
+        with mock.patch.object(cutcodes.blocking, "_validate", wraps=validate) as check:
+            theorem_hypotheses(MonomialBlocks(field_from_order(3), 2, 2), mode)
+        assert check.call_count <= 1, mode
 
 
 @pytest.mark.parametrize("k", [1, 2])
