@@ -39,7 +39,8 @@ of a failing trace is the first other subspace K whose annihilator lies in
 the trace's (see _first_container), read from the same annihilator blocks;
 set_dimension and the trace's basis come from one numpy elimination
 (Space.span_basis). method="pairwise" and hyperplane_pair_oracle remain
-literal cross-checks.
+literal cross-checks; the pairwise loop is charged its subspace_count(d)^2
+pairs times q^n against _GENERIC_POINT_CAP.
 """
 
 from __future__ import annotations
@@ -253,8 +254,12 @@ def _cutting(pset: PointSet, k: int, flavor: str, method: str = "span"):
     space = pset.space
     d = space.n - k
     if method == "pairwise":
-        if space.subspace_count(d) * space.size > _GENERIC_POINT_CAP:
-            raise BudgetExceeded("pairwise cutting check only fits small spaces")
+        pairs = space.subspace_count(d) ** 2
+        if pairs * space.size > _GENERIC_POINT_CAP:
+            raise BudgetExceeded(
+                f"the pairwise cutting check compares {pairs} pairs of subspaces "
+                f"over {space.size} points, cap {_GENERIC_POINT_CAP}"
+            )
         entries = [(sub, sub.point_set().bits) for sub in space.subspaces(d)]
         for sub, members in entries:
             trace = pset.bits & members

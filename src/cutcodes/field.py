@@ -5,12 +5,15 @@ a_0 + a_1*p + ... + a_{m-1}*p^{m-1}, constant term least significant. For
 prime fields this is the usual residue 0..p-1. Orders above 2^16 are
 refused, so every modulus is checked for irreducibility by exhaustive trial
 division and multiplication always runs through log/antilog tables built at
-construction time.
+construction time, by doubling runs of the generator's powers with the
+matrix of multiplication by g^k over GF(p).
 """
 
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from .errors import (
     NonPrimeCharacteristic,
@@ -183,16 +186,20 @@ class Field:
                 break
         else:  # q == 2, the empty-generator corner
             self.generator = 1
-        exp = [0] * (2 * (q - 1))
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            exp[q - 1 + i] = acc
-            log[acc] = i
-            acc = self._mul_raw(acc, self.generator)
-        self._exp = exp
-        self._log = log
+        # a * c has digit row (digits of a) @ M_c, row j of M_c holding the
+        # digits of c * t^j, and M_(c c') = M_c @ M_c': doubling the powers of
+        # g found so far with M_(g^k) gives g^0 .. g^(2k - 1)
+        p, m = self.p, self.m
+        step = np.array([_digits(self._mul_raw(p**j, self.generator), p, m) for j in range(m)])
+        powers = np.array([_digits(1, p, m)])
+        while len(powers) < q - 1:
+            powers = np.concatenate([powers, powers @ step % p])
+            step = step @ step % p
+        exp = powers[: q - 1] @ p ** np.arange(m)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp = exp.tolist() * 2
+        self._log = log.tolist()
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:

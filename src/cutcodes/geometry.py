@@ -29,10 +29,11 @@ hyperplane: Space.shift_counts gives #{x in a set : values[x] + v.x = 0}
 for every v at once, so a point set's column c[v] = |S n H_v| (cached on
 the PointSet) answers every hyperplane question. Space.hyperplane_normals
 lists one normal per hyperplane in the canonical subspaces(n-1) order.
-The transform costs about n * q^2 steps per count and holds size * q
-entries, so it pays for many counts over a small field; over a large one
-with few hyperplanes (q^2 above their number, or size * q above
-_COUNT_CAP) Space.hyperplane_counts sums the set over each hyperplane's
+The transform is n BLAS products of a float32 histogram of size * q counts
+with one q^2 x q^2 0/1 matrix per field (_shift_matrix), about n * q^3
+multiply-adds per count, so it pays for many counts over a small field;
+over a large one with few hyperplanes (q^2 above their number, or size * q
+above _COUNT_CAP) Space.hyperplane_counts sums the set over each hyperplane's
 points instead, refused with BudgetExceeded when those points number more
 than _GENERIC_POINT_CAP, the cap blocking's subspace scans share.
 
@@ -63,10 +64,23 @@ from .errors import BudgetExceeded, DimensionOutOfRange, ParseError, ZeroNormal
 from .field import Field, field_from_order
 
 _DIGIT_CACHE_LIMIT = 1 << 22
-_COUNT_CHUNK = 1 << 18  # elements per temporary array of the count transform
+_COUNT_CHUNK = 1 << 18  # elements per temporary array of the subspace blocks and scans
 _COUNT_CAP = 1 << 22  # histogram entries (size * q) the count transform may hold
+assert _COUNT_CAP // 2 < 1 << 24  # its float32 counts, at most size <= cap / q, stay exact
 _GENERIC_POINT_CAP = 1 << 24  # subspace points a scan of one dimension may visit
 _VECTOR_TOKENS = 160  # point-file tokens below which int() parses faster than numpy
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_matrix(field: Field) -> np.ndarray:
+    """S[(x, t), (v, t')] = 1 iff t' = t + v * x: one pass of Space.shift_counts."""
+    ops = ops_for(field)
+    q = field.q
+    el = ops.asarray(np.arange(q))
+    x, t, v = np.ix_(el, el, el)
+    shift = np.zeros((q, q, q, q), dtype=np.float32)
+    shift[x, t, v, ops.add(t, ops.mul(v, x))] = 1
+    return shift.reshape(q * q, q * q)
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -351,16 +365,17 @@ class Space:
     def counts_by_transform(self, needed: int) -> bool:
         """Should shift_counts serve `needed` counts, rather than one scan each?
 
-        The transform holds size * q histogram entries and spends about
-        n * q^2 steps per encoding v, n * q^(n+2) in all; a scan spends
-        about n * q^(n-1) steps on each hyperplane count (its points) and
-        n * size on each shift count. The transform is used when
-        q^2 < needed and its histogram fits _COUNT_CAP:
+        The transform holds size * q histogram entries and spends n matrix
+        products of size * q^3 multiply-adds each, q^3 per encoding v and
+        pass; a scan spends about n * q^(n-1) steps on each hyperplane count
+        (its points) and n * size on each shift count. The transform is used
+        when q^2 < needed and its histogram and pass matrix fit _COUNT_CAP:
         many counts over a small field (n >= 3), not the q + 1 lines of a
         plane, nor the shift condition's q^2 - 1 vectors of a plane, which
         its scan may leave at the first failure.
         """
-        return self.size * self.q <= _COUNT_CAP and self.q * self.q < needed
+        q = self.q
+        return self.size * q <= _COUNT_CAP and q**4 <= _COUNT_CAP and q * q < needed
 
     def shift_counts(self, mask: np.ndarray, values: Optional[np.ndarray] = None):
         """c[v] = #{x in mask : values[x] + v.x = 0} for every encoding v.
@@ -368,39 +383,36 @@ class Space:
         values defaults to 0, which makes c[v] = |mask n H_v| (c[0] = |mask|).
         An exact transform over the group ring Z[(GF(q), +)]: every point x
         starts as the unit histogram at t = values[x], and pass i trades the
-        coordinate x_i for v_i, shifting the histogram by v_i * x_i:
-        B[v_i][t] += A[x_i][t - v_i * x_i], gathered through the field's
-        arithmetic. Integers only, n passes, O(n * q^(n+2)) work, the last
-        pass keeping only t = 0. The histogram has size * q entries, refused
-        above _COUNT_CAP (see counts_by_transform); the gathers run in
-        blocks of _COUNT_CHUNK.
+        coordinate x_i for v_i, shifting the histogram by v_i * x_i. That is
+        one product of the (x_i, t) axes with the q^2 x q^2 0/1 matrix
+        S[(x, t), (v, t')] = [t' = t + v * x] (_shift_matrix), after which a
+        transpose moves v_i to the front so that x_(i+1) sits beside t; the
+        last pass keeps only S's t' = 0 columns. Every entry and every
+        partial sum counts points of the mask, at most size <= _COUNT_CAP / 2
+        < 2^24, so float32 and BLAS hold them exactly. The histogram has
+        size * q entries and S has q^4; either above _COUNT_CAP is refused
+        with BudgetExceeded (see counts_by_transform).
         """
         q, n, size = self.q, self.n, self.size
         if size * q > _COUNT_CAP:
             raise BudgetExceeded(
                 f"the count transform needs {size * q} histogram entries, cap {_COUNT_CAP}"
             )
-        ops = ops_for(self.field)
-        el = np.arange(q, dtype=np.int64)
+        if q**4 > _COUNT_CAP:
+            raise BudgetExceeded(
+                f"the count transform needs a pass matrix of {q**4} entries, cap {_COUNT_CAP}"
+            )
+        shift = _shift_matrix(self.field)
         pts = np.nonzero(mask)[0]
-        hist = np.zeros((size, q), dtype=np.int32)  # counts <= size < 2^31
+        hist = np.zeros((size, q), dtype=np.float32)
         hist[pts, 0 if values is None else values[pts]] = 1
-        for i in range(n):
-            tw = 1 if i == n - 1 else q  # the last pass needs only t = 0
-            high, low = q ** (n - 1 - i), q**i
-            src = hist.reshape(high, q, low, q)
-            out = np.empty((high, q, low, tw), dtype=np.int32)
-            # back[x][v, t] = t - v*x: where the histogram entry shifted to t came from
-            back = [ops.sub(el[None, :tw], ops.mul_scalar(x, el)[:, None]) for x in range(q)]
-            rows = max(1, _COUNT_CHUNK // (low * q * q))
-            for lo in range(0, high, rows):
-                blk = src[lo : lo + rows]
-                acc = np.zeros((blk.shape[0], low, q, tw), dtype=np.int32)
-                for x in range(q):
-                    acc += blk[:, x][:, :, back[x]]
-                out[lo : lo + rows] = acc.transpose(0, 2, 1, 3)
-            hist = out.reshape(size, tw)
-        return hist[:, 0].astype(np.int64)
+        rest = size // q
+        for _ in range(n - 1):
+            # rows (v_(i-1), ..., v_1, x_n, ..., x_(i+1)), columns (x_i, t)
+            hist = hist.reshape(rest, q * q) @ shift
+            hist = np.ascontiguousarray(hist.reshape(rest, q, q).transpose(1, 0, 2))
+        # rows (v_(n-1), ..., v_1), columns v_n: the transpose is the encoding order
+        return (hist.reshape(rest, q * q) @ shift[:, ::q]).T.ravel().astype(np.int64)
 
     def hyperplane_counts(self, mask: np.ndarray) -> np.ndarray:
         """c[v] = |mask n H_v| for every encoding v (c[0] = |mask|).

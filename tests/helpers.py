@@ -40,6 +40,13 @@ ZERO_STAR = {
     (5, 2, 2): 144,
 }
 
+# t^11 + t^2 + 1, t^7 + t^2 + 2 and t^16 + t^12 + t^3 + t + 1, constant term first
+LARGE_MODULI = {
+    2**11: (1, 0, 1) + (0,) * 8 + (1,),
+    3**7: (2, 0, 1, 0, 0, 0, 0, 1),
+    2**16: (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1),
+}
+
 # r-thresholds: smallest integer r making the distribution-free zero-count
 # bound bite, from the closed-form crossover value per field order.
 R_CROSSOVER = {2: 2.7715533031636124, 3: 3.1240089104948296}
@@ -63,6 +70,20 @@ def naive_gf4_mul(a, b):
     prod[0] ^= prod[2]
     prod[1] ^= prod[2]
     return prod[0] | (prod[1] << 1)
+
+
+def literal_field_tables(field):
+    """exp and log of the field's generator, one polynomial product per power."""
+    q = field.q
+    exp = [0] * (2 * (q - 1))
+    log = [0] * q
+    acc = 1
+    for i in range(q - 1):
+        exp[i] = acc
+        exp[q - 1 + i] = acc
+        log[acc] = i
+        acc = field._mul_raw(acc, field.generator)
+    return exp, log
 
 
 def naive_block_value(field, r, k, point):

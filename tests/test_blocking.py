@@ -1,8 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import cutcodes.blocking
 from cutcodes import (
     BudgetExceeded,
     DenseTable,
@@ -105,6 +107,18 @@ def test_pairwise_method_budget():
     s = PointSet.from_encodings(space, [1, 2])
     with pytest.raises(BudgetExceeded):
         is_cutting(s, 1, method="pairwise")
+
+
+def test_pairwise_method_is_charged_for_its_pairs():
+    # GF(2)^7, k = 3: 11,811 subspaces of dimension 4 give 1.4e8 pairs
+    space = Space(field_from_order(2), 7)
+    s = PointSet.from_encodings(space, np.arange(1, space.size))
+    with mock.patch.object(Space, "subspaces", side_effect=AssertionError("enumerated")):
+        with pytest.raises(BudgetExceeded, match="pairs"):
+            is_cutting(s, 3, method="pairwise")
+    # GF(2)^8, k = 1: 255^2 pairs over 256 points, the largest request still admitted
+    big = Space(field_from_order(2), 8)
+    assert big.subspace_count(7) ** 2 * big.size <= cutcodes.blocking._GENERIC_POINT_CAP
 
 
 def test_cutting_method_validation():

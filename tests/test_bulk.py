@@ -18,15 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 from cutcodes import LinearCode, ParseError, Space, field_from_order, parse_generator_matrix
 from cutcodes.bulk import FieldOps, echelon, ops_for
 
-from helpers import literal_independent_rows, literal_span_dim
+from helpers import LARGE_MODULI, literal_independent_rows, literal_span_dim
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
-# t^11 + t^2 + 1, t^7 + t^2 + 2 and t^16 + t^12 + t^3 + t + 1, constant term first
-LARGE_MODULI = {
-    2**11: (1, 0, 1) + (0,) * 8 + (1,),
-    3**7: (2, 0, 1, 0, 0, 0, 0, 1),
-    2**16: (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1),
-}
 SAMPLED_ORDERS = [257, 65521] + sorted(LARGE_MODULI)  # the primes take no modulus
 BINARY = ("add", "sub", "mul")
 SCALAR = ("add_scalar", "mul_scalar")

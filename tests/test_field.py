@@ -10,7 +10,7 @@ from cutcodes import (
     ZeroInverse,
     field_from_order,
 )
-from helpers import naive_gf4_mul
+from helpers import LARGE_MODULI, literal_field_tables, naive_gf4_mul
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 SAMPLED_ORDERS = [16, 25, 27]
@@ -194,3 +194,11 @@ def test_each_field_is_built_once():
             field_from_order(4, [1, 0, 1])
         with pytest.raises(ValueError):
             field_from_order(5, [1, 1])
+
+
+@pytest.mark.parametrize("q", EXHAUSTIVE_ORDERS + sorted(LARGE_MODULI) + [257, 65521])
+def test_doubled_tables_equal_one_product_per_power(q):
+    field = field_from_order(q, LARGE_MODULI.get(q))
+    assert (field._exp, field._log) == literal_field_tables(field)
+    assert all(type(e) is int for e in field._exp + field._log)
+    assert sorted(field._exp[: q - 1]) == list(range(1, q))  # the generator is primitive

@@ -333,3 +333,82 @@ def test_plane_over_large_field_scans_in_small_memory():
     assert [g[0][0] for g in got] == [True, False]
     assert got[1][0][1].normal() == space.canonical_representative((3, 1))
     assert got_f == (literal_support_spans(f), literal_shift(f)) == ((True, None), (False, (1, 0)))
+
+
+@pytest.mark.parametrize("q,n", [(11, 2), (13, 2), (16, 2), (25, 2), (27, 2), (11, 3)])
+def test_shift_counts_equal_direct_counts_past_the_hypothesis_spaces(q, n):
+    space = _space(q, n)
+    rng = np.random.RandomState(q * n)
+    mask = rng.rand(space.size) < 0.6
+    values = rng.randint(0, q, space.size).astype(np.uint8)
+    assert np.array_equal(space.shift_counts(mask), direct_shift_counts(space, mask))
+    assert np.array_equal(
+        space.shift_counts(mask, values), direct_shift_counts(space, mask, values)
+    )
+
+
+@pytest.mark.parametrize("q,n", [(2, 21), (4, 10)])
+def test_float32_counts_are_exact_at_the_cap(q, n):
+    space = _space(q, n)
+    assert space.size * q == cutcodes.geometry._COUNT_CAP
+    full = np.ones(space.size, dtype=bool)
+    full[0] = False
+    c = space.shift_counts(full)
+    assert c[0] == q**n - 1
+    assert np.all(c[1:] == q ** (n - 1) - 1)
+    rng = np.random.RandomState(n)
+    mask = rng.rand(space.size) < 0.5
+    c = space.shift_counts(mask)
+    enc = np.nonzero(mask)[0]
+    for v in rng.randint(1, space.size, 64):
+        if q == 2:  # v . x is the parity of the shared digits
+            want = np.count_nonzero(np.bitwise_count(enc & v) % 2 == 0)
+        else:
+            want = np.count_nonzero(mask & (space.dot_all(space.decode(int(v))) == 0))
+        assert c[v] == want, v
+
+
+def test_transform_at_the_cap_stays_in_small_memory():
+    # GF(4)^10: the float32 histogram holds 2^22 entries (16 MB), and a pass
+    # keeps it beside its product; a float64 histogram would not fit
+    space = _space(4, 10)
+    mask = np.random.RandomState(3).rand(space.size) < 0.5
+    tracemalloc.start()
+    try:
+        c = space.shift_counts(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
+    assert c[0] == np.count_nonzero(mask)
+
+
+# every prime power up to 64; the orders without a built-in modulus take one
+ROUTE_MODULI = {32: (1, 0, 1, 0, 0, 1), 49: (3, 1, 1), 64: (1, 1, 0, 0, 0, 0, 1)}
+ROUTE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+ROUTE_ORDERS += [37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+@pytest.mark.parametrize("q", ROUTE_ORDERS)
+def test_route_is_unchanged_by_the_pass_matrix_cap(q):
+    field = field_from_order(q, ROUTE_MODULI.get(q))
+    cap = cutcodes.geometry._COUNT_CAP
+    for n in range(1, 9):
+        space = Space(field, n)
+        for needed in (space.subspace_count(n - 1), space.size):  # hyperplanes, shifts
+            want = space.size * q <= cap and q * q < needed
+            assert space.counts_by_transform(needed) == want, (n, needed)
+
+
+def test_pass_matrix_past_the_cap_is_refused_before_any_allocation():
+    space = _space(47, 2)  # 47^3 histogram entries fit, 47^4 matrix entries do not
+    assert space.size * 47 <= cutcodes.geometry._COUNT_CAP < 47**4
+    mask = np.ones(space.size, dtype=bool)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cutcodes.BudgetExceeded):
+            space.shift_counts(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
