@@ -61,7 +61,7 @@ from .errors import (
     ZeroNormal,
 )
 from .functions import FunctionSpec, scalar_compatible, zero_set
-from .geometry import _GENERIC_POINT_CAP, PointSet, Space, SubspaceBasis
+from .geometry import _COUNT_CHUNK, _GENERIC_POINT_CAP, PointSet, Space, SubspaceBasis
 
 DEFAULT_OP_BUDGET = 4 * 10**9
 
@@ -103,7 +103,7 @@ def _on_points(space: Space, d: int) -> bool:
     return d <= space.n - d
 
 
-def _subspace_counts(pset: PointSet, d: int, width: int = 1, side: Optional[str] = None):
+def _subspace_counts(pset: PointSet, d: int, side: Optional[str] = None):
     """(start, pivots, enc, |S n K|) per canonical block of d-dim subspaces K.
 
     enc comes from the given side of Space.subspace_blocks, by default the
@@ -112,20 +112,18 @@ def _subspace_counts(pset: PointSet, d: int, width: int = 1, side: Optional[str]
     k = n - d) it reads the hyperplane counts c (c[0] = |S|) over the q^k
     vectors w of ann K: a point of K lies on every H_w and a point off K on
     q^(k-1) of them, so sum_w c[w] = (q^k - q^(k-1)) |S n K| + q^(k-1) |S|.
-    width scales the block for callers that spend width gathers per vector
-    of enc.
     """
     space = pset.space
     q, k = space.q, space.n - d
     if side is None:
         side = "points" if _on_points(space, d) else "annihilator"
     if side == "points":
-        for start, pivots, enc in space.subspace_blocks(d, "points", per=q**d * width):
+        for start, pivots, enc in space.subspace_blocks(d, "points"):
             yield start, pivots, enc, np.count_nonzero(pset.bits[enc], axis=1)
         return
     c = pset.hyperplane_counts()
     off = q ** (k - 1) * len(pset)
-    for start, pivots, enc in space.subspace_blocks(d, "annihilator", per=q**k * width):
+    for start, pivots, enc in space.subspace_blocks(d, "annihilator"):
         yield start, pivots, enc, (c[enc].sum(axis=1) - off) // (q**k - q ** (k - 1))
 
 
@@ -182,8 +180,10 @@ def _first_uncut_subspace(pset: PointSet, d: int, flavor: str) -> Optional[int]:
     than d points of the set fails, which bounds the scan. A K holding more
     points than a hyperplane of K can, room = q^(d-1) - 1 nonzero points
     (or (q^(d-1) - 1) / (q - 1) canonical representatives for the
-    projective flavor), is spanned and skipped. Blocks are checked in order
-    and the first failure wins.
+    projective flavor), is spanned and skipped. Only the K a count block
+    leaves open are checked, about _COUNT_CHUNK sums (reps.size * q^k per
+    K) at a time, in order and before the block's first K of too few
+    points, so the first failure in canonical order wins.
     """
     space = pset.space
     small = Space(space.field, d)
@@ -193,19 +193,22 @@ def _first_uncut_subspace(pset: PointSet, d: int, flavor: str) -> Optional[int]:
     if flavor == "projective":
         room //= space.q - 1
     c = pset.hyperplane_counts()
+    chunk = max(1, _COUNT_CHUNK // (reps.size * space.q ** (space.n - d)))
     last = None
-    for start, pivots, enc, hits in _subspace_counts(pset, d, reps.size, "annihilator"):
+    for start, pivots, enc, hits in _subspace_counts(pset, d, "annihilator"):
         stop = _first(hits < d)
-        rows = np.flatnonzero(hits[:stop] <= room)  # the K left to check
-        if pivots != last:  # g depends only on the pivot pattern
+        left = np.flatnonzero(hits[:stop] <= room)  # the K left to check
+        if left.size and pivots != last:  # g depends only on the pivot pattern
             g = digits @ space.places[list(pivots)]
             plus_g, at_g, last = space.translate(g[None, :]), c[g], pivots
-        sums = np.repeat(at_g[None, :], rows.size, axis=0)  # u = 0
-        for u in enc[rows].T[1:]:
-            sums += c[plus_g(u[:, None])]
-        b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
-        if b is not None:
-            return start + int(rows[b])
+        for lo in range(0, left.size, chunk):
+            rows = left[lo : lo + chunk]
+            sums = np.repeat(at_g[None, :], rows.size, axis=0)  # u = 0
+            for u in enc[rows].T[1:]:
+                sums += c[plus_g(u[:, None])]
+            b = _first((sums[:, 1:] == sums[:, :1]).any(axis=1))
+            if b is not None:
+                return start + int(rows[b])
         if stop is not None:
             return start + stop
     return None

@@ -10,10 +10,10 @@ subspace either its points or the vectors of its annihilator, and
 Space.subspace_basis rebuilds the basis at any position, so a witness read
 from a block is the same subspace the canonical scan would have reported.
 An annihilator enumeration of at most _COUNT_CHUNK entries (for instance
-the hyperplanes' q-element lines span(h) in a small space) is built once
-per Space and re-sliced for every caller, so blocking, cutting, the
-exclusion and the hyperplane normals share one build; the points side,
-whose scans often stop at their first block, is built afresh each time.
+the hyperplanes' q-element lines span(h) in a small space) depends only on
+(field, n, d), so it is built once per process (_annihilator_table) and
+re-sliced for every caller of every request; the points side, whose scans
+often stop at their first block, is built afresh each time.
 
 A PointSet is a bitmap over the q^n encodings that keeps its sorted
 encodings beside it: a set read from a file, given by encodings or built
@@ -81,6 +81,17 @@ def _shift_matrix(field: Field) -> np.ndarray:
     shift = np.zeros((q, q, q, q), dtype=np.float32)
     shift[x, t, v, ops.add(t, ops.mul(v, x))] = 1
     return shift.reshape(q * q, q * q)
+
+
+@functools.lru_cache(maxsize=None)
+def _annihilator_table(field: Field, n: int, d: int) -> tuple:
+    """subspace_blocks(d, "annihilator") of Space(field, n), one read-only
+    block per pivot pattern. The key's field carries its modulus
+    (Field.__eq__), so two moduli of one order get two tables."""
+    blocks = tuple(Space(field, n)._build_blocks(d, "annihilator"))
+    for _, _, enc in blocks:
+        enc.flags.writeable = False
+    return blocks
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -151,7 +162,6 @@ class Space:
         self._digit_cols = None
         self._proj_encodings = None
         self._proj_mask = None
-        self._annihilator_blocks = {}  # d -> subspace_blocks(d, "annihilator"), when small
         self._sum_tables = {}  # width -> _sum_table(width), for translate
 
     # point encoding -------------------------------------------------------
@@ -246,10 +256,6 @@ class Space:
             assert enc.size == self.num_projective_points()
             self._proj_encodings = enc
         return self._proj_encodings
-
-    def projective_points(self):
-        for e in self.projective_point_encodings():
-            yield self.decode(int(e))
 
     # bilinear form --------------------------------------------------------
     def dot(self, u, v) -> int:
@@ -521,23 +527,18 @@ class Space:
           every basis row, so enc lists the q^(n-d) vectors of ann K.
         A block stays inside one pivot pattern and holds at most
         _COUNT_CHUNK // per subspaces (per defaults to q^r), at least one.
-        An annihilator enumeration of at most _COUNT_CHUNK entries is built
-        once per Space, read-only, and re-sliced for every per; the points
-        side is built afresh on each call, so a scan that stops early builds
-        only the blocks it reads.
+        An annihilator enumeration of at most _COUNT_CHUNK entries is read
+        from _annihilator_table, built once per process, and re-sliced for
+        every per; the points side is built afresh on each call, so a scan
+        that stops early builds only the blocks it reads.
         """
         if side not in ("points", "annihilator"):
             raise ValueError(f"unknown side {side!r}")
         if side == "points" or self.subspace_count(d) * self.q ** (self.n - d) > _COUNT_CHUNK:
             yield from self._build_blocks(d, side, per)
             return
-        if d not in self._annihilator_blocks:
-            blocks = list(self._build_blocks(d, side))  # one block per pivot pattern
-            for _, _, enc in blocks:
-                enc.flags.writeable = False
-            self._annihilator_blocks[d] = blocks
         rows = max(1, _COUNT_CHUNK // (per or self.q ** (self.n - d)))
-        for start, pivots, enc in self._annihilator_blocks[d]:
+        for start, pivots, enc in _annihilator_table(self.field, self.n, d):
             for lo in range(0, enc.shape[0], rows):
                 yield start + lo, pivots, enc[lo : lo + rows]
 
@@ -724,9 +725,6 @@ class PointSet:
 
     def __contains__(self, e: int) -> bool:
         return bool(self.bits[e])
-
-    def contains_point(self, coords) -> bool:
-        return bool(self.bits[self.space.encode(coords)])
 
     def encodings(self) -> np.ndarray:
         """The sorted encodings of the set's points (read-only), found once."""

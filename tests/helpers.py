@@ -242,6 +242,17 @@ def affine_points(space):
         yield space.decode(e)
 
 
+def projective_points(space):
+    """Every canonical representative of PG(n-1, q) as a coordinate tuple, in encoding order."""
+    for e in space.projective_point_encodings():
+        yield space.decode(int(e))
+
+
+def contains_point(pset, coords):
+    """Does the point set hold the point with coordinates coords?"""
+    return bool(pset.bits[pset.space.encode(coords)])
+
+
 def add_encodings(space, u, w):
     """Encodings of the vector sums x + y; u and w broadcast together."""
     return space.translate(w)(u)
@@ -368,7 +379,7 @@ def literal_contained(pset, lin_s, flavor):
         pts = [space.decode(int(e)) for e in sub.point_encodings() if e]
         if flavor == "projective":
             pts = {space.canonical_representative(p) for p in pts}
-        if all(pset.contains_point(p) for p in pts):
+        if all(contains_point(pset, p) for p in pts):
             return sub
     return None
 

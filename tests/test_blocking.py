@@ -29,7 +29,7 @@ from cutcodes import (
     zero_set,
 )
 
-from helpers import subspace_contains
+from helpers import contains_point, subspace_contains
 
 
 def _hyperplane_star(space, v):
@@ -137,7 +137,7 @@ def test_ks_blocking_on_block_zero_set():
     contained = wit["contained"]
     assert contained is not None and wit["missed"] is None
     pts = [p for p in contained.point_set(punctured=True).points()]
-    assert pts and all(s.contains_point(p) for p in pts)
+    assert pts and all(contains_point(s, p) for p in pts)
     # no full hyperplane fits inside, so (1,3) holds
     assert is_ks_blocking(s, 1, 3) == (True, {"missed": None, "contained": None})
 

@@ -6,7 +6,9 @@ read |S n K| from the points of K or from the hyperplane counts over ann K
 the literal per-subspace loops in both flavors, plant failures, force each
 side of the points/annihilator choice, check that over-cap requests are
 refused before any count, the per-hyperplane scan included, check
-the per-Space memo of small annihilator enumerations, check that a
+the process-level table of small annihilator enumerations (one build per
+field, modulus included, n and d; read-only), check that the cutting
+check's chunks inside one count block keep the witness, check that a
 points-side report takes no hyperplane counts, check that a failing
 trace's container is the first in canonical order on either side of the
 failure, and check set_dimension against the literal row reduction and
@@ -45,6 +47,7 @@ from helpers import (
     literal_contained,
     literal_span_cutting,
     literal_span_dim,
+    projective_points,
     scale_encodings,
     subspace_bits,
     subspace_contains,
@@ -160,7 +163,7 @@ def test_every_hyperplane_of_k_is_checked(q, n, k):
     space = _space(q, n)
     d = n - k
     sub = space.subspace_basis(d, space.subspace_count(d) - 1)
-    for g in Space(space.field, d).projective_points():
+    for g in projective_points(Space(space.field, d)):
         pset = PointSet(space, _allowed(space, "vectorial") & ~_off_hyperplane(sub, g))
         got = is_cutting(pset, k)
         assert not got[0] and got[1][0] == sub, g
@@ -228,6 +231,47 @@ def test_block_boundaries_do_not_move_witnesses(q, n):
         want = [is_blocking(pset, 2, flavor), is_cutting(pset, 2, flavor)]
         with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", 1):
             assert [is_blocking(pset, 2, flavor), is_cutting(pset, 2, flavor)] == want
+
+
+# (q, n, k, flavor, seed, density): a random set whose trace on the last
+# subspace of the first pivot pattern is squeezed into a hyperplane of it;
+# the seeds leave many earlier K of that block open after the counting
+# rules (checked in the test), so the check runs them in several chunks.
+PLANTED_LATE = [
+    (2, 5, 1, "vectorial", 7, 0.5),
+    (3, 4, 1, "vectorial", 4, 0.5),
+    (3, 4, 1, "projective", 47, 0.5),
+    (2, 5, 2, "vectorial", 1, 0.7),
+    (2, 5, 2, "projective", 1, 0.7),
+    (3, 4, 2, "vectorial", 95, 0.5),
+    (3, 5, 2, "projective", 89, 0.5),
+]
+
+
+@pytest.mark.parametrize("q,n,k,flavor,seed,density", PLANTED_LATE)
+def test_check_chunks_inside_one_count_block(q, n, k, flavor, seed, density):
+    space = _space(q, n)
+    d = n - k
+    target = q ** (d * k) - 1  # pivots 0..d-1 leave d * k free entries
+    sub = space.subspace_basis(d, target)
+    rng = np.random.RandomState(seed)
+    bits = _allowed(space, flavor) & (rng.rand(space.size) < density) & ~_off_hyperplane(sub, (1,) * d)
+    pset = PointSet(space, bits)
+    room = (q ** (d - 1) - 1) // (q - 1 if flavor == "projective" else 1)
+    hits = np.concatenate([h for _, _, _, h in _subspace_counts(pset, d, "annihilator")])
+    assert np.count_nonzero(hits[:target] <= room) >= 6 and (hits[:target] >= d).all()
+    want = is_cutting(pset, k, flavor)
+    assert not want[0] and want[1][0] == sub
+    assert want == literal_span_cutting(pset, k)
+    if space.subspace_count(d) ** 2 * space.size <= _GENERIC_POINT_CAP:
+        assert is_cutting(pset, k, flavor, method="pairwise") == want
+    per_k = (1 + Space(space.field, d).num_projective_points()) * q**k  # sums per K checked
+    for rows in (1, 2, 5):
+        with mock.patch.object(cutcodes.blocking, "_COUNT_CHUNK", rows * per_k):
+            assert is_cutting(pset, k, flavor) == want
+            # count blocks of 7 K, each split into check chunks of `rows` K
+            with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", 7 * q**k):
+                assert is_cutting(pset, k, flavor) == want
 
 
 def test_enumerator_rows_follow_the_combination_encoding():
@@ -365,17 +409,25 @@ def test_hyperplane_scan_past_the_point_cap_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (3, 4), (5, 3)])
 def test_memoised_annihilator_blocks_equal_fresh_ones(q, n, chunk):
-    space = _space(q, n)
+    table = cutcodes.geometry._annihilator_table
+    table.cache_clear()
     with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", chunk):
         for d in range(n + 1):
-            for per in (None, 1, q, q ** (n - d) * 3, chunk):
-                for _ in range(2):  # the first call fills the memo, the second reads it
-                    got = list(space.subspace_blocks(d, "annihilator", per))
-                    want = list(space._build_blocks(d, "annihilator", per))
-                    assert [(s, p) for s, p, _ in got] == [(s, p) for s, p, _ in want]
-                    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+            before = table.cache_info()
+            for space in (_space(q, n), _space(q, n)):  # two instances read one table
+                for per in (None, 1, q, q ** (n - d) * 3, chunk):
+                    for _ in range(2):  # the first call fills the table, the others read it
+                        got = list(space.subspace_blocks(d, "annihilator", per))
+                        want = list(space._build_blocks(d, "annihilator", per))
+                        assert [(s, p) for s, p, _ in got] == [(s, p) for s, p, _ in want]
+                        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+            after = table.cache_info()
             memoised = space.subspace_count(d) * q ** (n - d) <= chunk
-            assert (d in space._annihilator_blocks) == memoised
+            # one table per memoised (field, n, d), built by the first call and read by the other 19
+            assert after.currsize - before.currsize == memoised
+            assert (after.misses - before.misses, after.hits - before.hits) == (
+                (1, 19) if memoised else (0, 0)
+            )
 
 
 def _count_builds(calls):
@@ -390,14 +442,47 @@ def _count_builds(calls):
 
 @pytest.mark.parametrize("q,r,k", [(2, 2, 2), (3, 2, 2), (4, 3, 1)])
 def test_hyperplane_blocks_are_built_once_per_space(q, r, k):
+    cutcodes.geometry._annihilator_table.cache_clear()
     f = MonomialBlocks(field_from_order(q), r, k)  # n = r * k >= 3
+    again = MonomialBlocks(field_from_order(q), r, k)  # the same space, another Space instance
+    assert again.space == f.space and again.space is not f.space
     zeros = zero_set(f, "affine_star")
     n = f.space.n
     calls = []
     with _count_builds(calls):
         assert theorem_hypotheses(f, "affine").to_dict() == theorem_hypotheses(f, "affine").to_dict()
         blocking_report(zeros, 1, s=n - 1)
+        assert theorem_hypotheses(again, "affine").to_dict() == theorem_hypotheses(f, "affine").to_dict()
+        blocking_report(zero_set(again, "affine_star"), 1, s=n - 1)
+    # once per process, so once per space and once per instance
     assert calls.count((n, n - 1, "annihilator")) == 1
+
+
+def test_each_modulus_of_an_order_gets_its_own_table():
+    table = cutcodes.geometry._annihilator_table
+    table.cache_clear()
+    spaces = [Space(field_from_order(8, m), 3) for m in ((1, 1, 0, 1), (1, 0, 1, 1))]  # x^3+x+1, x^3+x^2+1
+    assert spaces[0].field != spaces[1].field
+    for d in range(4):
+        got = [list(space.subspace_blocks(d, "annihilator")) for space in spaces]
+        for space, blocks in zip(spaces, got):
+            want = list(space._build_blocks(d, "annihilator"))
+            assert [(s, p) for s, p, _ in blocks] == [(s, p) for s, p, _ in want]
+            assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(blocks, want))
+        if d in (1, 2):  # the products differ between the moduli, so do the annihilators
+            assert any(not np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(*got))
+    assert table.cache_info().currsize == 2 * 4
+
+
+def test_cached_blocks_reject_writes():
+    space = _space(3, 3)
+    for d in range(1, 3):
+        table = cutcodes.geometry._annihilator_table(space.field, 3, d)
+        slices = list(space.subspace_blocks(d, "annihilator", per=1))
+        for enc in [enc for _, _, enc in table + tuple(slices)]:
+            with pytest.raises(ValueError, match="read-only"):
+                enc[0, 0] = 1
+        assert all(enc[0, 0] == 0 for _, _, enc in table)
 
 
 def test_points_side_is_never_memoised():
