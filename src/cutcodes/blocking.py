@@ -410,17 +410,7 @@ class BlockingReport:
     witnesses: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "k": self.k,
-            "s": self.s,
-            "set_size": self.set_size,
-            "dimension": self.dimension,
-            "blocking": self.blocking,
-            "cutting": self.cutting,
-            "ks_blocking": self.ks_blocking,
-            "witnesses": self.witnesses,
-        }
+        return dict(vars(self))
 
 
 def blocking_report(
@@ -485,18 +475,10 @@ class TheoremReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "zero_set_size": self.zero_set_size,
-            "dimension": self.dimension,
-            "dimension_ok": self.dimension_ok,
-            "cutting_ok": self.cutting_ok,
-            "exclusion_ok": self.exclusion_ok,
-            "shift_ok": self.shift_ok,
-            "support_spans_ok": self.support_spans_ok,
-            "applies": self.applies,
-            "witnesses": self.witnesses,
-        }
+        """Every field, with applies added before the witnesses."""
+        out = dict(vars(self), applies=self.applies)
+        out["witnesses"] = out.pop("witnesses")
+        return out
 
 
 def require_hypothesis_budget(space: Space, op_budget: int = DEFAULT_OP_BUDGET):

@@ -3,15 +3,17 @@
 Exit codes: 0 success, 1 failed expectation or failed reproduction check,
 2 usage errors and requests over budget, 3 malformed input files (including
 point sets that break the declared flavor, e.g. an origin row).
-Budgets resolve flag > environment > --config file > default, with the
-environment keys CUTCODES_PAIR_BUDGET, CUTCODES_WEIGHT_BUDGET,
-CUTCODES_POINT_CAP, and config-file lines like ``pair_budget = 1000000``.
+Budgets resolve flag > environment > --config file > default. Each Config
+field (pair_budget, weight_budget, point_cap) has its flag (--pair-budget),
+its environment key (CUTCODES_PAIR_BUDGET) and its config-file line
+(``pair_budget = 1000000``), all named from the field.
 Every exit-1 expectation failure writes a JSON witness to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -52,13 +54,6 @@ from .functions import (
 from .geometry import PointSet, load_point_set
 from .repro import DEFAULT_SEED, run_all
 
-_ENV_KEYS = {
-    "pair_budget": "CUTCODES_PAIR_BUDGET",
-    "weight_budget": "CUTCODES_WEIGHT_BUDGET",
-    "point_cap": "CUTCODES_POINT_CAP",
-}
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -72,7 +67,7 @@ def _read_config_file(path: str) -> dict:
             continue
         key, sep, val = line.partition("=")
         key = key.strip()
-        if not sep or key not in _ENV_KEYS:
+        if not sep or key not in {fld.name for fld in dataclasses.fields(Config)}:
             raise UsageError(f"{path}:{lineno}: expected <budget key>=<integer>")
         try:
             values[key] = int(val.strip())
@@ -84,7 +79,8 @@ def _read_config_file(path: str) -> dict:
 def _config_from(args) -> Config:
     cfg = Config()
     file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for attr, env in _ENV_KEYS.items():
+    for fld in dataclasses.fields(Config):
+        attr, env = fld.name, f"CUTCODES_{fld.name.upper()}"
         flag = getattr(args, attr, None)
         if flag is not None:
             setattr(cfg, attr, int(flag))
@@ -159,9 +155,8 @@ def _add_source_args(p: argparse.ArgumentParser, with_matrix: bool):
 
 
 def _add_budget_args(p: argparse.ArgumentParser):
-    p.add_argument("--pair-budget", dest="pair_budget", type=int)
-    p.add_argument("--weight-budget", dest="weight_budget", type=int)
-    p.add_argument("--point-cap", dest="point_cap", type=int)
+    for fld in dataclasses.fields(Config):
+        p.add_argument("--" + fld.name.replace("_", "-"), type=int)
     p.add_argument("--config", help="budget file with key=value lines")
 
 
@@ -378,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_args(p)
     p.add_argument(
         "--minimality",
-        choices=["brute", "weightsum", "both", "theorem"],
+        choices=list(METHOD_ROUTES),
         default="both",
     )
     p.add_argument("--weights", action="store_true", help="print the weight distribution")

@@ -22,10 +22,13 @@ independent routes:
   m' - a*m, a point of Space(field, dim) added by Space.translate;
 - the blocking-set theorem certificate.
 
-Enumerative routes are budget-gated, checked before any work, and fail
-loudly instead of degrading silently. The budget formulas still charge the
-pair-by-pair cost per coordinate of the length, not the work these kernels
-do (ROADMAP item 5).
+METHOD_ROUTES lists is_minimal's methods once, in survey's fallback order.
+Every route is budget-gated before any work and fails loudly instead of
+degrading silently: an enumerative one by its _ROUTES cost, a formula of the
+code that still charges the pair-by-pair cost per coordinate of the length,
+not the work these kernels do (ROADMAP item 5); the theorem route by
+blocking's hypothesis-scan budget. survey builds through the same builders,
+under the same point cap.
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ from .functions import (
 )
 from .geometry import Space, _data_lines, _format_rows, _Rows
 
-DEFAULT_PAIR_BUDGET = 10**10
-DEFAULT_WEIGHT_BUDGET = 10**9
-DEFAULT_POINT_CAP = 10**7
 _BLOCK_ELEMS = 1 << 26
 _SCAN_ELEMS = 1 << 14  # weight lookups per weight-sum block
 _CONTAIN_WORDS = 1 << 16  # class pairs per containment block
@@ -67,27 +67,36 @@ _CONTAIN_WORDS = 1 << 16  # class pairs per containment block
 
 @dataclass
 class Config:
-    """Work limits for the enumerative routes; costs are elementwise ops."""
+    """Work limits for the enumerative routes; costs are elementwise ops.
+    Each field is also a CLI flag, a CUTCODES_* variable and a file key."""
 
-    pair_budget: int = DEFAULT_PAIR_BUDGET
-    weight_budget: int = DEFAULT_WEIGHT_BUDGET
-    point_cap: int = DEFAULT_POINT_CAP
+    pair_budget: int = 10**10
+    weight_budget: int = 10**9
+    point_cap: int = 10**7
 
 
 # enumerative routes: (name in refusals, Config field, cost in elementwise
-# ops from the class count R, the length and q)
+# ops of the code)
 _ROUTES = {
-    "weights": ("weight distribution", "weight_budget", lambda R, n, q: R * n),
-    "brute": ("brute-force scan", "pair_budget", lambda R, n, q: R * (R - 1) * n),
-    "weightsum": ("weight-sum scan", "pair_budget", lambda R, n, q: R * (R - 1) * (q - 1) * n),
-    "minimal-words": ("minimal-word scan", "pair_budget", lambda R, n, q: R * (R - 1) * n),
+    "weights": ("weight distribution", "weight_budget", lambda c: c.num_classes * c.length),
+    "brute": (
+        "brute-force scan", "pair_budget", lambda c: c.num_classes * (c.num_classes - 1) * c.length
+    ),
+    "weightsum": (
+        "weight-sum scan",
+        "pair_budget",
+        lambda c: c.num_classes * (c.num_classes - 1) * (c.field.q - 1) * c.length,
+    ),
+    "minimal-words": (
+        "minimal-word scan", "pair_budget", lambda c: c.num_classes * (c.num_classes - 1) * c.length
+    ),
 }
 
-# the budgeted routes behind each is_minimal method
+# every is_minimal method and the routes it runs, in survey's fallback order
 METHOD_ROUTES = {
+    "both": ("brute", "weightsum"),
     "brute": ("brute",),
     "weightsum": ("weightsum",),
-    "both": ("brute", "weightsum"),
     "theorem": ("theorem",),
 }
 
@@ -104,7 +113,7 @@ def require_budgets(code: LinearCode, routes, config: Optional[Config] = None):
                 require_hypothesis_budget(code.function.space)
             continue
         what, key, cost_of = _ROUTES[route]
-        cost = cost_of(code.num_classes, code.length, code.field.q)
+        cost = cost_of(code)
         budget = getattr(cfg, key)
         if cost > budget:
             raise BudgetExceeded(f"{what} needs about {cost:.2e} ops, budget {budget:.2e}")
@@ -348,13 +357,7 @@ class MinimalityReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "minimal": self.minimal,
-            "method": self.method,
-            "pairs_checked": self.pairs_checked,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return dict(vars(self))
 
 
 def _containment_blocks(table: ClassTable):
@@ -477,30 +480,35 @@ def is_minimal_theorem(code: LinearCode) -> MinimalityReport:
 def is_minimal(
     code: LinearCode, method: str = "both", config: Optional[Config] = None
 ) -> MinimalityReport:
-    """Dispatch: brute | weightsum | both (cross-checked) | theorem."""
-    require_budgets(code, METHOD_ROUTES.get(method, ()), config)
-    if method == "brute":
-        return is_minimal_bruteforce(code, config)
-    if method == "weightsum":
-        return is_minimal_weightsum(code, config)
-    if method == "theorem":
-        return is_minimal_theorem(code)
-    if method == "both":
-        brute = is_minimal_bruteforce(code, config)
-        wsum = is_minimal_weightsum(code, config)
-        if brute.minimal != wsum.minimal:
-            raise RuntimeError(
-                f"minimality routes disagree: bruteforce={brute.minimal}, "
-                f"weightsum={wsum.minimal}"
-            )
-        return MinimalityReport(
-            brute.minimal,
-            "bruteforce+weightsum",
-            brute.pairs_checked + wsum.pairs_checked,
-            brute.witness,
-            notes="independent routes agree",
+    """Minimality by one method of METHOD_ROUTES: its routes' budgets are
+    checked before any of them runs, and a method of two independent routes
+    ("both": brute force, then weight-sum) must see them agree."""
+    routes = METHOD_ROUTES.get(method)
+    if routes is None:
+        raise ValueError(f"unknown minimality method {method!r}")
+    require_budgets(code, routes, config)
+    # looked up on each call, so a rebinding of these module names is seen
+    run = {
+        "brute": is_minimal_bruteforce,
+        "weightsum": is_minimal_weightsum,
+        "theorem": lambda code, _: is_minimal_theorem(code),
+    }
+    reports = [run[route](code, config) for route in routes]
+    if len(reports) == 1:
+        return reports[0]
+    first, second = reports
+    if first.minimal != second.minimal:
+        raise RuntimeError(
+            f"minimality routes disagree: {first.method}={first.minimal}, "
+            f"{second.method}={second.minimal}"
         )
-    raise ValueError(f"unknown minimality method {method!r}")
+    return MinimalityReport(
+        first.minimal,
+        f"{first.method}+{second.method}",
+        first.pairs_checked + second.pairs_checked,
+        first.witness,
+        notes="independent routes agree",
+    )
 
 
 def minimal_codewords(code: LinearCode, config: Optional[Config] = None) -> list:
@@ -528,15 +536,8 @@ class ABReport:
     weights: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "method": self.method,
-            "w_min": self.w_min,
-            "w_max": self.w_max,
-            "zero_count": self.zero_count,
-            "threshold": self.threshold,
-            "threshold_hit": self.threshold_hit,
-        }
+        """Every field but the weight distribution."""
+        return {key: val for key, val in vars(self).items() if key != "weights"}
 
 
 def ab_zero_threshold(q: int, n: int, mode: str = "affine") -> int:
@@ -610,15 +611,20 @@ def ab_r_threshold(q: int) -> tuple:
     return value, r_min
 
 
-def _survey_minimality(code: LinearCode, cfg: Config) -> MinimalityReport:
-    """is_minimal by both routes, else brute force alone, else weight-sum
-    alone: the first method within budget."""
-    for method in ("both", "brute", "weightsum"):
+def _survey_minimality(
+    code: Optional[LinearCode], applies: Optional[bool], cfg: Config
+) -> MinimalityReport:
+    """The first method of METHOD_ROUTES with a verdict: an enumerative one
+    within budget on a built code, else the theorem certificate, read from
+    the audit the row already holds (applies)."""
+    for method in METHOD_ROUTES:
+        if method == "theorem" or code is None:
+            break
         try:
             return is_minimal(code, method, cfg)
         except BudgetExceeded:
             continue
-    return MinimalityReport(None, "none")
+    return MinimalityReport(True, "theorem") if applies else MinimalityReport(None, "none")
 
 
 def survey_family(
@@ -632,14 +638,14 @@ def survey_family(
     """One row per block degree r: parameters, certificates, verdicts.
 
     Every family is built before the first row, so a bad r is refused
-    before any work. Zero counts come from the closed form, cross-checked
-    by enumeration on spaces within the point cap; only there is the code
-    built. Minimality is the first of is_minimal's "both", "brute" and
-    "weightsum" within budget, else the theorem certificate; the ratio
-    comes from ab_check, or for an unbuilt code from the zero-count
-    threshold alone. A theorem certificate that meets an enumerated False
-    raises. Verdicts that no route reached are None, with the method
-    columns saying which route produced each verdict.
+    before any work. The code is built by the same builder, under the same
+    point cap, as analyze's; zero counts come from the closed form,
+    cross-checked by enumeration wherever the code was built. Minimality is
+    the first method of METHOD_ROUTES with a verdict (see
+    _survey_minimality); the ratio comes from ab_check, or for an unbuilt
+    code from the zero-count threshold alone. A theorem certificate that
+    meets an enumerated False raises. Verdicts that no route reached are
+    None, with the method columns saying which route produced each verdict.
     """
     cfg = config or Config()
     field = field_from_order(q, modulus)
@@ -648,28 +654,27 @@ def survey_family(
     cone = 1 if mode == "affine" else q - 1  # points per counted zero
     rows = []
     for f in families:
-        size = q**f.n
         zero_star = monomial_blocks_zero_count(q, f.r, k) - 1
         zero_count = zero_star // cone
         assert zero_count * cone == zero_star
-        code = None
-        if size <= cfg.point_cap:
+        try:
+            code = builder(f, cfg)
+        except BudgetExceeded:
+            code = None
+        else:
             scanned = len(zero_set(f, "affine_star"))
             if scanned != zero_star:
                 raise RuntimeError(
                     f"zero-count formula disagrees with enumeration at r={f.r}: "
                     f"{zero_star} vs {scanned}"
                 )
-            code = builder(f, cfg)
         threshold = ab_zero_threshold(q, f.n, mode)
         try:
             applies = theorem_hypotheses(f, mode).applies
         except BudgetExceeded:
             applies = None
-        report = MinimalityReport(None, "none") if code is None else _survey_minimality(code, cfg)
-        if applies and report.minimal is None:
-            report = MinimalityReport(True, "theorem")
-        elif applies and report.minimal is False:
+        report = _survey_minimality(code, applies, cfg)
+        if applies and report.minimal is False:
             raise RuntimeError(f"theorem certificate contradicts enumeration at r={f.r}")
         ab = _ab_verdict(q, None, zero_count, threshold) if code is None else ab_check(code, cfg)
         rows.append(
@@ -678,7 +683,7 @@ def survey_family(
                 "r": f.r,
                 "k": k,
                 "n": f.n,
-                "length": (size - 1) // cone,
+                "length": (q**f.n - 1) // cone,
                 "dim": f.n + 1 if code is None else code.dim,
                 "zero_count": zero_count,
                 "threshold": threshold,

@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from cutcodes import (
+    Config,
     DenseTable,
     MonomialBlocks,
     build_affine_code,
@@ -280,35 +283,92 @@ def test_table_q_conflict(tmp_path, capsys):
     assert "contradicts" in err
 
 
+# each Config field by its literal names: (flag, environment key, file key,
+# the start of BUDGET_ARGV's refusal at the tight value 5)
+BUDGET_KNOBS = [
+    ("--pair-budget", "CUTCODES_PAIR_BUDGET", "pair_budget", "brute-force scan needs"),
+    ("--weight-budget", "CUTCODES_WEIGHT_BUDGET", "weight_budget", "weight distribution needs"),
+    ("--point-cap", "CUTCODES_POINT_CAP", "point_cap", "code length 15 exceeds the point cap 5"),
+]
+BUDGET_ARGV = ["analyze", "--q", "2", "--family", "frk", "--r", "2", "--k", "2",
+               "--minimality", "brute"]
+LOOSE = str(10**10)
+
+
+def _refused_by(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    return code == 2 and out == "" and err.startswith(f"over budget: {message}")
+
+
 def test_budget_flag_and_env(tmp_path, capsys, monkeypatch):
-    argv = ["analyze", "--q", "2", "--family", "frk", "--r", "2", "--k", "2",
-            "--minimality", "brute"]
-    code, _, err = run_cli(capsys, *argv, "--pair-budget", "5")
-    assert code == 2 and "over budget" in err
-    monkeypatch.setenv("CUTCODES_PAIR_BUDGET", "5")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "over budget" in err
-    # an explicit flag beats the environment
-    code, _, _ = run_cli(capsys, *argv, "--pair-budget", str(10**10))
-    assert code == 0
+    assert [knob[2] for knob in BUDGET_KNOBS] == [fld.name for fld in fields(Config)]
+    assert run_cli(capsys, *BUDGET_ARGV)[0] == 0
+    for flag, env, _, message in BUDGET_KNOBS:
+        assert _refused_by(capsys, BUDGET_ARGV + [flag, "5"], message), flag
+        monkeypatch.setenv(env, "5")
+        assert _refused_by(capsys, BUDGET_ARGV, message), env
+        # an explicit flag beats the environment, either way round
+        code, _, _ = run_cli(capsys, *BUDGET_ARGV, flag, LOOSE)
+        assert code == 0, flag
+        monkeypatch.setenv(env, LOOSE)
+        assert _refused_by(capsys, BUDGET_ARGV + [flag, "5"], message), flag
+        monkeypatch.delenv(env)
 
 
 def test_config_file_budgets(tmp_path, capsys, monkeypatch):
-    argv = ["analyze", "--q", "2", "--family", "frk", "--r", "2", "--k", "2",
-            "--minimality", "brute"]
     cfgfile = tmp_path / "budgets.cfg"
-    cfgfile.write_text("# comment\npair_budget = 5\n\nweight_budget=1000000\n")
-    code, _, err = run_cli(capsys, *argv, "--config", str(cfgfile))
-    assert code == 2 and "over budget" in err
-    # the environment beats the config file
-    monkeypatch.setenv("CUTCODES_PAIR_BUDGET", str(10**10))
-    code, _, _ = run_cli(capsys, *argv, "--config", str(cfgfile))
-    assert code == 0
-    # malformed lines are usage errors
+    for _, env, key, message in BUDGET_KNOBS:
+        cfgfile.write_text(f"# comment\n{key} = 5\n\n")
+        assert _refused_by(capsys, BUDGET_ARGV + ["--config", str(cfgfile)], message), key
+        # the environment beats the config file, either way round
+        monkeypatch.setenv(env, LOOSE)
+        code, _, _ = run_cli(capsys, *BUDGET_ARGV, "--config", str(cfgfile))
+        assert code == 0, key
+        cfgfile.write_text(f"{key}={LOOSE}\n")
+        monkeypatch.setenv(env, "5")
+        assert _refused_by(capsys, BUDGET_ARGV + ["--config", str(cfgfile)], message), key
+        monkeypatch.delenv(env)
+    # malformed lines and unknown keys are usage errors
     bad = tmp_path / "bad.cfg"
-    bad.write_text("pair_budget five\n")
-    code, _, err = run_cli(capsys, *argv, "--config", str(bad))
-    assert code == 2 and "usage error" in err
+    for text in ("pair_budget five\n", "pair-budget = 5\n", "op_budget = 5\n"):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, *BUDGET_ARGV, "--config", str(bad))
+        assert code == 2 and "usage error" in err, text
+
+
+def test_minimality_choices_come_in_fallback_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--q", "2", "--r", "2", "--k", "2", "--minimality", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"invalid choice: 'nope' \(choose from '?both'?, '?brute'?, '?weightsum'?, '?theorem'?\)", err)
+
+
+def test_survey_and_analyze_share_the_point_cap(capsys):
+    # one rule, the builders': affine codes need q^n - 1 <= cap, projective
+    # ones q^n <= cap; here q^n = 64
+    base = ["--q", "2", "--r", "3", "--k", "2"]
+    for mode, fits in ([], 63), (["--projective"], 64):
+        code, out, _ = run_cli(capsys, "survey", *base, *mode, "--point-cap", str(fits), "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        code, out, _ = run_cli(capsys, "analyze", *base, *mode, "--point-cap", str(fits), "--json")
+        assert code == 0
+        built = json.loads(out)
+        assert (row["minimality_method"], row["ab_method"]) == ("bruteforce+weightsum", "distribution")
+        assert (row["minimal"], row["ab_satisfied"]) == (built["minimal"], built["ab"]["satisfied"])
+        assert (row["length"], row["dim"]) == (built["length"], built["dim"])
+        assert (row["w_min"], row["w_max"]) == (built["ab"]["w_min"], built["ab"]["w_max"])
+        if not mode:
+            assert (row["w_min"], row["w_max"]) == (14, 38)
+        code, out, _ = run_cli(capsys, "survey", *base, *mode, "--point-cap", str(fits - 1), "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        assert (row["minimality_method"], row["ab_method"]) == ("theorem", "threshold")
+        code, out, err = run_cli(capsys, "analyze", *base, *mode, "--point-cap", str(fits - 1))
+        assert code == 2 and out == ""
+        what = "code length 63" if not mode else "space size 64"
+        assert err == f"over budget: {what} exceeds the point cap {fits - 1}\n"
 
 
 def test_build_over_point_cap(capsys):

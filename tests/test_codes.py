@@ -181,6 +181,53 @@ def test_minimality_routes_on_nonminimal_code():
     assert both.minimal is False and both.witness == brute.witness
 
 
+def test_method_table_lists_every_method_in_fallback_order():
+    import cutcodes.codes as codes
+
+    assert list(codes.METHOD_ROUTES) == ["both", "brute", "weightsum", "theorem"]
+
+
+def test_both_reads_its_routes_by_module_name(monkeypatch):
+    # a rebinding of a route's module-level name (as a tracer does) is what
+    # is_minimal runs; here it makes the two routes disagree
+    import cutcodes.codes as codes
+
+    code = _block_code(2, 2, 2)
+    flipped = codes.MinimalityReport(False, "weightsum")
+    monkeypatch.setattr(codes, "is_minimal_weightsum", lambda code, config=None: flipped)
+    with pytest.raises(RuntimeError, match="^minimality routes disagree: bruteforce=True, weightsum=False$"):
+        is_minimal(code, "both")
+    assert is_minimal(code, "weightsum") is flipped
+
+
+def test_report_dicts_keep_their_keys():
+    from cutcodes import blocking_report, theorem_hypotheses, zero_set
+
+    f = MonomialBlocks(field_from_order(2), 2, 2)
+    code = build_affine_code(f)
+    reports = {
+        "minimality": (is_minimal(code, "both"), ["minimal", "method", "pairs_checked", "witness", "notes"]),
+        "ab": (ab_check(code), ["satisfied", "method", "w_min", "w_max", "zero_count", "threshold", "threshold_hit"]),
+        "blocking": (
+            blocking_report(zero_set(f, "affine_star"), 1, s=2),
+            ["flavor", "k", "s", "set_size", "dimension", "blocking", "cutting", "ks_blocking", "witnesses"],
+        ),
+        "theorem": (
+            theorem_hypotheses(f, "affine"),
+            ["mode", "zero_set_size", "dimension", "dimension_ok", "cutting_ok", "exclusion_ok",
+             "shift_ok", "support_spans_ok", "applies", "witnesses"],
+        ),
+    }
+    for name, (rep, keys) in reports.items():
+        d = rep.to_dict()
+        assert list(d) == keys, name
+        assert all(d[key] == getattr(rep, key) for key in keys), name
+        d.clear()  # a copy: the report keeps its fields
+        assert rep.to_dict() == {key: getattr(rep, key) for key in keys}, name
+    ab = reports["ab"][0]
+    assert ab.weights == weight_distribution(code)
+
+
 def test_minimality_theorem_route():
     code = _block_code(2, 2, 2)
     rep = is_minimal_theorem(code)
