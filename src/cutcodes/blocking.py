@@ -510,20 +510,18 @@ def theorem_hypotheses(
         pset = zero_set(f, "affine_star")
         flavor = "vectorial"
         want_dim = space.n
-        s = space.n - 1
     elif mode == "projective":
         if scalar_compatible(f) is None:
             raise NotScalarCompatible("projective mode needs scalar compatibility")
         pset = zero_set(f, "projective")
         flavor = "projective"
         want_dim = space.n - 1
-        s = space.n - 2
     else:
         raise ValueError(f"unknown mode {mode!r}")
     dim = set_dimension(pset, flavor)
     cutting, cut_wit = _cutting(pset, 1, flavor)  # zero_set gives a valid set
-    lin_s = s + 1 if flavor == "projective" else s
-    contained = _contained_subspace(pset, lin_s, flavor)
+    # affine (1, n-1)- and projective (1, n-2)-blocking both exclude linear dimension n - 1
+    contained = _contained_subspace(pset, space.n - 1, flavor)
     exclusion_ok = contained is None
     shift_ok, shift_wit = shift_vanishes_on_support(f)
     spans_ok, span_wit = _support_spans(pset, 1 if mode == "affine" else space.q - 1)

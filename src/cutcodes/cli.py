@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 failed expectation or failed reproduction check,
-2 usage errors and requests over budget, 3 malformed input files (including
-point sets that break the declared flavor, e.g. an origin row).
+2 usage errors (including a file that cannot be opened) and requests over
+budget, 3 malformed input files (including point sets that break the
+declared flavor, e.g. an origin row).
 Budgets resolve flag > environment > --config file > default. Each Config
 field (pair_budget, weight_budget, point_cap) has its flag (--pair-budget),
 its environment key (CUTCODES_PAIR_BUDGET) and its config-file line
@@ -18,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Optional
 
 from .blocking import blocking_report
@@ -56,11 +58,7 @@ from .repro import DEFAULT_SEED, run_all
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
+    lines = _opened("read config file", Path(path).read_text, "utf-8").splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,6 +117,15 @@ def _parse_r_range(text: str) -> list:
         raise UsageError(f"--r takes A..B or a comma list, got {text!r}") from None
 
 
+def _opened(what: str, op, *args):
+    """op(*args), with a file it cannot open raised as a usage error naming
+    the file; the package's own errors keep their exit codes."""
+    try:
+        return op(*args)
+    except OSError as exc:
+        raise UsageError(f"cannot {what}: {exc}") from None
+
+
 def _checked(build, *args):
     """build(*args), with a plain ValueError (a bad parameter) raised as a
     usage error; the package's own errors keep their exit codes."""
@@ -166,7 +173,7 @@ class UsageError(Exception):
 
 def _resolve_function(args) -> FunctionSpec:
     if args.table:
-        f = load_function_table(args.table)
+        f = _opened("read function table", load_function_table, args.table)
         if args.q is not None and args.q != f.field.q:
             raise UsageError(
                 f"--q {args.q} contradicts the table header q={f.field.q}"
@@ -175,7 +182,7 @@ def _resolve_function(args) -> FunctionSpec:
     if args.family == "polyzero":
         if not args.poly:
             raise UsageError("--family polyzero needs --poly FILE")
-        return PolyZeroIndicator(load_polynomial(args.poly))
+        return PolyZeroIndicator(_opened("read polynomial", load_polynomial, args.poly))
     if args.q is None:
         raise UsageError("need --q with a built-in family")
     field = _checked(field_from_order, args.q, _parse_modulus(args.modulus))
@@ -192,7 +199,7 @@ def _resolve_function(args) -> FunctionSpec:
 
 def _resolve_code(args, cfg: Config) -> LinearCode:
     if getattr(args, "matrix", None):
-        return load_generator_matrix(args.matrix)
+        return _opened("read generator matrix", load_generator_matrix, args.matrix)
     f = _resolve_function(args)
     builder = build_projective_code if args.projective else build_affine_code
     return builder(f, cfg)
@@ -210,7 +217,7 @@ def cmd_build(args) -> int:
     cfg = _config_from(args)
     code = _resolve_code(args, cfg)
     if args.out:
-        write_generator_matrix(args.out, code)
+        _opened("write generator matrix", write_generator_matrix, args.out, code)
     _emit(
         {
             "length": code.length,
@@ -280,7 +287,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_blocking(args) -> int:
-    space, pset = load_point_set(args.infile)
+    space, pset = _opened("read point set", load_point_set, args.infile)
     if args.normalize:
         reps = {
             space.encode(space.canonical_representative(space.decode(int(e))))
@@ -296,16 +303,10 @@ def cmd_blocking(args) -> int:
         method=args.method,
         check_cutting=args.cutting,
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        d = report.to_dict()
-        wit = d.pop("witnesses")
-        for key, val in d.items():
-            print(f"{key}: {val}")
-        for key, val in wit.items():
-            if val is not None:
-                print(f"{key}: {val}")
+    out = report.to_dict()
+    if not args.json:  # the witnesses found, as lines of their own
+        out.update((key, val) for key, val in out.pop("witnesses").items() if val is not None)
+    _emit(out, args.json)
     return 0
 
 

@@ -58,7 +58,7 @@ from .functions import (
     scalar_compatible,
     zero_set,
 )
-from .geometry import Space, _data_lines, _format_rows, _Rows
+from .geometry import Space, _data_lines, _format_rows, _integral, _Rows
 
 _BLOCK_ELEMS = 1 << 26
 _SCAN_ELEMS = 1 << 14  # weight lookups per weight-sum block
@@ -141,7 +141,7 @@ class LinearCode:
             raise ValueError(f"unknown mode {mode!r}")
         self.field = field
         self.ops = ops_for(field)
-        raw = np.asarray(rows)
+        raw = _integral(rows, "entry")
         if raw.ndim != 2 or raw.shape[0] == 0:
             raise ValueError("need a nonempty 2d row matrix")
         bad = raw[(raw < 0) | (raw >= field.q)]
@@ -182,21 +182,20 @@ class LinearCode:
             raise ValueError("structured codewords need an affine/projective code")
         if len(v) != self.ambient_n:
             raise ValueError(f"v needs {self.ambient_n} coordinates")
-        ops = self.ops
-        out = ops.mul_scalar(int(u), self.rows[0])
-        for i, vi in enumerate(v):
-            if vi:
-                out = ops.add(out, ops.mul_scalar(int(vi), self.rows[1 + i]))
-        return out
+        return self._combination((u, *v), self.rows)
 
     def word_from_message(self, message) -> np.ndarray:
         if len(message) != self.dim:
             raise ValueError(f"message needs {self.dim} digits")
+        return self._combination(message, self.basis)
+
+    def _combination(self, coeffs, rows) -> np.ndarray:
+        """sum_i coeffs[i] * rows[i] over the field."""
         ops = self.ops
         out = np.zeros(self.length, dtype=ops.dtype)
-        for digit, row in zip(message, self.basis):
-            if digit:
-                out = ops.add(out, ops.mul_scalar(int(digit), row))
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = ops.add(out, ops.mul_scalar(int(c), row))
         return out
 
     def __repr__(self):
@@ -583,13 +582,16 @@ def _ab_verdict(q: int, weights, zero_count, threshold) -> ABReport:
 def ab_check(code: LinearCode, config: Optional[Config] = None) -> ABReport:
     """Ratio verdict for a code: from its weight distribution when that is
     within the weight budget, else from the zero-count threshold, which
-    structured codes over n >= 2 variables carry."""
+    structured codes over n >= 2 variables carry unless f vanishes on every
+    column (threshold and threshold_hit None)."""
     zero_count = threshold = None
     if code.function is not None and code.ambient_n is not None and code.ambient_n >= 2:
         mode = code.mode if code.mode != "raw" else "affine"
         zmode = "affine_star" if mode == "affine" else "projective"
         zero_count = len(zero_set(code.function, zmode))
-        threshold = ab_zero_threshold(code.field.q, code.ambient_n, mode)
+        # the threshold argument needs a nonzero codeword u*f, so f nonzero on some column
+        if zero_count < code.length:
+            threshold = ab_zero_threshold(code.field.q, code.ambient_n, mode)
     try:
         weights = weight_distribution(code, config)
     except BudgetExceeded:

@@ -17,7 +17,7 @@ import numpy as np
 from .bulk import ops_for
 from .errors import EvenOrderWarning, NotScalarCompatible
 from .field import Field
-from .geometry import PointSet, Space, _format_rows, _read_header, _Rows, _space_zeros
+from .geometry import PointSet, Space, _format_rows, _integral, _read_header, _Rows, _space_zeros
 
 _CHUNK = 1 << 20
 _SCAN_LIMIT = 1 << 22
@@ -33,6 +33,7 @@ class FunctionSpec:
         self.n = n
         self._space = None
         self._table = None
+        self._scalar_deg = None  # (d,) once scalar_degree has scanned
 
     @property
     def space(self) -> Space:
@@ -66,8 +67,11 @@ class FunctionSpec:
         return self._table
 
     def scalar_degree(self) -> Optional[int]:
-        """Least d with f(lam*x) = lam^d f(x) on nonzero points, else None."""
-        return _scalar_degree(self)
+        """Least d with f(lam*x) = lam^d f(x) on nonzero points, else None;
+        scanned once."""
+        if self._scalar_deg is None:
+            self._scalar_deg = (_scalar_degree(self),)
+        return self._scalar_deg[0]
 
     def describe(self) -> str:
         return f"{type(self).__name__}(q={self.field.q}, n={self.n})"
@@ -79,7 +83,7 @@ class DenseTable(FunctionSpec):
     def __init__(self, field: Field, n: int, values):
         super().__init__(field, n)
         ops = ops_for(field)
-        vals = np.asarray(values, dtype=np.int64)
+        vals = np.asarray(_integral(values, "table value"), dtype=np.int64)
         if vals.shape != (self.space.size,):
             raise ValueError(
                 f"table needs {self.space.size} values, got {vals.shape}"
@@ -87,20 +91,12 @@ class DenseTable(FunctionSpec):
         if vals.size and (vals.min() < 0 or vals.max() >= field.q):
             raise ValueError("table value outside 0..q-1")
         self._table = vals.astype(ops.dtype)
-        self._scalar_scanned = False
-        self._scalar_deg = None
 
     def evaluate(self, coords) -> int:
         return int(self._table[self.space.encode(coords)])
 
     def evaluate_block(self, enc) -> np.ndarray:
         return self._table[np.asarray(enc, dtype=np.int64)]
-
-    def scalar_degree(self) -> Optional[int]:
-        if not self._scalar_scanned:
-            self._scalar_deg = _scalar_degree(self)
-            self._scalar_scanned = True
-        return self._scalar_deg
 
 
 class MonomialBlocks(FunctionSpec):

@@ -12,8 +12,8 @@ from a block is the same subspace the canonical scan would have reported.
 An annihilator enumeration of at most _COUNT_CHUNK entries (for instance
 the hyperplanes' q-element lines span(h) in a small space) depends only on
 (field, n, d), so it is built once per process (_annihilator_table) and
-re-sliced for every caller of every request; the points side, whose scans
-often stop at their first block, is built afresh each time.
+read by every caller of every request; the points side, whose scans often
+stop at their first block, is built afresh each time.
 
 A PointSet is a bitmap over the q^n encodings that keeps its sorted
 encodings beside it: a set read from a file, given by encodings or built
@@ -37,11 +37,11 @@ above _COUNT_CAP) Space.hyperplane_counts sums the set over each hyperplane's
 points instead, refused with BudgetExceeded when those points number more
 than _GENERIC_POINT_CAP, the cap blocking's subspace scans share.
 
-Space.translate adds encodings digitwise (XOR in characteristic 2). Its two
-callers add one row of encodings to a block of columns: the cutting scan
-(blocking._first_uncut_subspace) adds each annihilator vector to a pivot
-pattern's g, and the weight-sum scan (codes.is_minimal_weightsum) adds the
--a*m_i of a block of classes to every class message m_j.
+Space.translate adds encodings digitwise (XOR in characteristic 2), one row
+of encodings to a block of columns, the one shape its two callers use: the
+cutting scan (blocking._first_uncut_subspace) adds each annihilator vector
+to a pivot pattern's g, and the weight-sum scan (codes.is_minimal_weightsum)
+adds the -a*m_i of a block of classes to every class message m_j.
 
 The four input file formats (point sets here, function tables and
 polynomials in functions, generator matrices in codes) share one row
@@ -92,6 +92,17 @@ def _annihilator_table(field: Field, n: int, d: int) -> tuple:
     for _, _, enc in blocks:
         enc.flags.writeable = False
     return blocks
+
+
+def _integral(values, what: str) -> np.ndarray:
+    """values as an array, refused with ValueError when a float entry is not
+    an integer, which numpy's integer casts would truncate."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = arr[arr != np.floor(arr)]
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} is not an integer")
+    return arr
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -186,6 +197,8 @@ class Space:
         for x in reversed(coords):
             if not 0 <= x < self.q:
                 raise ValueError(f"coordinate {x} outside 0..{self.q - 1}")
+            if x != int(x):
+                raise ValueError(f"coordinate {x} is not an integer")
             e = e * self.q + x
         return e
 
@@ -292,51 +305,42 @@ class Space:
         return (enc[..., None] // self.places) % self.q
 
     def translate(self, w):
-        """The map u -> encodings of u + w, for arrays u that broadcast with w.
+        """The map u -> encodings of u + w, for one row w of shape (1, B) and
+        columns u of shape (..., 1), giving shape (..., B); any other shape
+        of w or u is refused with ValueError.
 
         In characteristic 2 the field adds by XOR and q = 2^m gives every
         coordinate its own bits, so the encodings XOR whole. Otherwise the
         coordinates add in groups of n // 2 digits (two groups for even n,
-        three for odd n, the last of one digit), each through one digitwise
-        sum table of q^(2 * width) <= q^n entries (_sum_table, built once
-        per Space); for n = 1 the encodings are the field elements. For
-        a row w of shape (1, B) and columns u of shape (..., 1), the tables'
-        columns at w's digits are taken once, so each u costs one row take
-        per group. Both callers use that shape: the cutting scan
-        (blocking._first_uncut_subspace) with u of shape (rows, 1), the
-        weight-sum scan (codes.is_minimal_weightsum) with u of shape
-        (q-1, rows, 1).
+        three for odd n, the last of one digit; one group for n = 1), each
+        through one digitwise sum table of q^(2 * width) <= max(q^n, q^2)
+        entries (_sum_table, built once per Space). The tables' columns at
+        w's digits are taken once, so each u costs one row take per group.
+        The cutting scan (blocking._first_uncut_subspace) passes u of shape
+        (rows, 1), the weight-sum scan (codes.is_minimal_weightsum) u of
+        shape (q-1, rows, 1).
         """
         w = np.asarray(w, dtype=np.int64)
-        if self.field.p == 2:
-            return lambda u: np.asarray(u, dtype=np.int64) ^ w
-        if self.n == 1:
-            ops = ops_for(self.field)
-            return lambda u: ops.add(ops.asarray(u), ops.asarray(w)).astype(np.int64)
-        # (table, place of the group's lowest digit, q^width, w's group index)
-        groups = [
-            (self._sum_table(width), self.q**lo, self.q**width, (w // self.q**lo) % self.q**width)
-            for lo, width in self._digit_groups()
-        ]
-
-        def add_any(u):
-            u = np.asarray(u, dtype=np.int64)
-            out = 0
-            for table, place, size, wg in groups:
-                out = out + table[(u // place) % size, wg] * place
-            return out
-
         if w.ndim != 2 or w.shape[0] != 1:
-            return add_any
-        cols = [table[:, wg[0]] * place for table, place, _, wg in groups]
+            raise ValueError(f"translate adds one row of shape (1, B), got shape {w.shape}")
+        # (the group's sum-table columns at w's digits, times the place of
+        # the group's lowest digit; that place; q^width), none for XOR
+        groups = []
+        if self.field.p != 2:
+            for lo, width in self._digit_groups():
+                place, size = self.q**lo, self.q**width
+                groups.append((self._sum_table(width)[:, (w[0] // place) % size] * place, place, size))
 
         def add(u):
             u = np.asarray(u, dtype=np.int64)
             if u.ndim < 2 or u.shape[-1] != 1:
-                return add_any(u)
+                raise ValueError(f"translate adds to columns of shape (..., 1), got shape {u.shape}")
+            if not groups:
+                return u ^ w
             u = u[..., 0]
-            out = cols[0][u % groups[0][2]]
-            for col, (_, place, size, _) in zip(cols[1:], groups[1:]):
+            (col, _, size), *rest = groups  # the first group's lowest digit is x_1
+            out = col[u % size]
+            for col, place, size in rest:
                 out += col[(u // place) % size]
             return out
 
@@ -345,7 +349,7 @@ class Space:
     def _digit_groups(self) -> list:
         """(lowest digit, width) of the digit groups translate adds together."""
         h = self.n // 2
-        return [(0, h), (h, h)] + ([(2 * h, 1)] if self.n % 2 else [])
+        return [(lo, width) for lo, width in ((0, h), (h, h), (2 * h, self.n % 2)) if width]
 
     def _sum_table(self, width: int) -> np.ndarray:
         """T[x, y] = index of the digitwise field sum of the width-digit
@@ -512,7 +516,7 @@ class Space:
             index -= total
         raise IndexError(f"there are only {self.subspace_count(d)} subspaces of dimension {d}")
 
-    def subspace_blocks(self, d: int, side: str = "points", per: Optional[int] = None):
+    def subspace_blocks(self, d: int, side: str = "points"):
         """The d-dimensional subspaces K in blocks, in the subspaces(d) order.
 
         Yields (start, pivots, enc): row b of enc belongs to the subspace at
@@ -526,23 +530,21 @@ class Space:
           w_f = e_f - sum_i rows[i][f] * e_(p_i) (r = n - d), orthogonal to
           every basis row, so enc lists the q^(n-d) vectors of ann K.
         A block stays inside one pivot pattern and holds at most
-        _COUNT_CHUNK // per subspaces (per defaults to q^r), at least one.
-        An annihilator enumeration of at most _COUNT_CHUNK entries is read
-        from _annihilator_table, built once per process, and re-sliced for
-        every per; the points side is built afresh on each call, so a scan
+        _COUNT_CHUNK // q^r subspaces, at least one, so a block's enc has at
+        most _COUNT_CHUNK entries when one subspace's q^r fit. An annihilator
+        enumeration of at most _COUNT_CHUNK entries, one block per pivot
+        pattern under that rule, is read from _annihilator_table, built once
+        per process; the points side is built afresh on each call, so a scan
         that stops early builds only the blocks it reads.
         """
         if side not in ("points", "annihilator"):
             raise ValueError(f"unknown side {side!r}")
         if side == "points" or self.subspace_count(d) * self.q ** (self.n - d) > _COUNT_CHUNK:
-            yield from self._build_blocks(d, side, per)
-            return
-        rows = max(1, _COUNT_CHUNK // (per or self.q ** (self.n - d)))
-        for start, pivots, enc in _annihilator_table(self.field, self.n, d):
-            for lo in range(0, enc.shape[0], rows):
-                yield start + lo, pivots, enc[lo : lo + rows]
+            yield from self._build_blocks(d, side)
+        else:
+            yield from _annihilator_table(self.field, self.n, d)
 
-    def _build_blocks(self, d: int, side: str, per: Optional[int] = None):
+    def _build_blocks(self, d: int, side: str):
         """subspace_blocks, built from the canonical bases' free entries."""
         q, n = self.q, self.n
         ops = ops_for(self.field)
@@ -561,7 +563,7 @@ class Space:
             combo = ops.asarray((np.arange(q**r)[:, None] // q ** np.arange(r)) % q)
             base = combo.astype(np.int64) @ self.places[units]
             digit = q ** np.arange(m - 1, -1, -1, dtype=np.int64)  # first free entry most significant
-            rows = max(1, _COUNT_CHUNK // (per or q**r))
+            rows = max(1, _COUNT_CHUNK // q**r)
             total = q**m
             for lo in range(0, total, rows):
                 t = np.arange(lo, min(lo + rows, total), dtype=np.int64)
@@ -657,11 +659,7 @@ class SubspaceBasis:
         v[j0] = 1
         for i, p in enumerate(self.pivots):
             v[p] = f.neg(self.rows[i][j0])
-        for x in v:
-            if x:
-                inv = f.inv(x)
-                return tuple(f.mul(inv, c) for c in v)
-        raise AssertionError("hyperplane normal cannot vanish")
+        return space.canonical_representative(v)
 
     def as_lists(self) -> list:
         return [list(r) for r in self.rows]
@@ -703,7 +701,7 @@ class PointSet:
     def from_encodings(cls, space: Space, encodings) -> "PointSet":
         if not isinstance(encodings, np.ndarray):
             encodings = list(encodings)
-        enc = np.unique(np.asarray(encodings, dtype=np.int64))
+        enc = np.unique(np.asarray(_integral(encodings, "encoding"), dtype=np.int64))
         if enc.size and (enc[0] < 0 or enc[-1] >= space.size):
             raise ValueError("encoding outside the space")
         bits = np.zeros(space.size, dtype=bool)

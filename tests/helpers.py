@@ -254,8 +254,14 @@ def contains_point(pset, coords):
 
 
 def add_encodings(space, u, w):
-    """Encodings of the vector sums x + y; u and w broadcast together."""
-    return space.translate(w)(u)
+    """Encodings of the vector sums x + y, coordinate by coordinate through
+    Field.add; u and w broadcast together."""
+    u, w = np.broadcast_arrays(np.asarray(u, dtype=np.int64), np.asarray(w, dtype=np.int64))
+    out = np.empty(u.shape, dtype=np.int64)
+    for i in np.ndindex(u.shape):
+        x, y = space.decode(int(u[i])), space.decode(int(w[i]))
+        out[i] = space.encode(tuple(space.field.add(a, b) for a, b in zip(x, y)))
+    return out
 
 
 def scale_encodings(space, lam, enc):

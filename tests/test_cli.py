@@ -8,6 +8,7 @@ import pytest
 
 from cutcodes import (
     Config,
+    DegenerateDimensionWarning,
     DenseTable,
     MonomialBlocks,
     build_affine_code,
@@ -272,6 +273,43 @@ def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "blocking --in {missing}",
+        "analyze --table {missing}",
+        "analyze --family polyzero --poly {missing}",
+        "analyze --matrix {missing}",
+        "build --q 2 --r 2 --k 2 --out {missing_dir}/gen.txt",
+        "analyze --q 2 --r 2 --k 2 --config {missing}",
+    ],
+)
+def test_files_that_cannot_be_opened_are_usage_errors(tmp_path, capsys, argv):
+    argv = argv.format(missing=tmp_path / "missing.txt", missing_dir=tmp_path / "missing")
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot ") and err.count("\n") == 1
+    assert str(tmp_path / "missing") in err
+
+
+@pytest.mark.parametrize(
+    "argv,weight",
+    [
+        ("analyze --table {table} --json", 18),
+        ("analyze --table {table} --projective --json", 9),
+        ("analyze --family polyzero --poly {poly} --json", 18),  # a nonzero constant: f = 0
+    ],
+)
+def test_analyze_function_vanishing_on_every_column_holds_the_ratio(tmp_path, capsys, argv, weight):
+    table, poly = tmp_path / "z.txt", tmp_path / "p.txt"
+    table.write_text("3 3\n")
+    poly.write_text("3 3\n1 0 0 0\n")
+    with pytest.warns(DegenerateDimensionWarning):
+        code, out, err = run_cli(capsys, *argv.format(table=table, poly=poly).split())
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ab"] == {"satisfied": True, "w_max": weight, "w_min": weight}
 
 
 def test_table_q_conflict(tmp_path, capsys):

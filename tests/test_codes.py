@@ -292,6 +292,24 @@ def test_ab_check_threshold_fallback():
     assert rep2.satisfied is None and rep2.method == "none"
 
 
+@pytest.mark.parametrize("projective", [False, True])
+def test_ab_check_takes_no_threshold_verdict_when_f_vanishes_on_every_column(projective):
+    # f = 0: every nonzero codeword is some v.x, of weight 18 affine or 9
+    # projective, so the ratio holds; the zero count reaches the threshold
+    # only because u*f is the zero word, which the threshold argument excludes
+    f = DenseTable(field_from_order(3), 3, [0] * 27)
+    builder = build_projective_code if projective else build_affine_code
+    with pytest.warns(DegenerateDimensionWarning):
+        code = builder(f)
+    weight = 9 if projective else 18
+    exact = ab_check(code)
+    assert (exact.satisfied, exact.method, exact.w_min, exact.w_max) == (True, "distribution", weight, weight)
+    blind = ab_check(code, Config(weight_budget=0))
+    assert (blind.satisfied, blind.method) == (None, "none")
+    for rep in (exact, blind):
+        assert (rep.zero_count, rep.threshold, rep.threshold_hit) == (code.length, None, None)
+
+
 def test_ab_r_threshold_frozen():
     for q in (2, 3):
         value, r_min = ab_r_threshold(q)
@@ -412,3 +430,14 @@ def test_raw_code_basics():
     for v, bad in [((1, 4), 4), ((-1, 1), -1)]:
         with pytest.raises(ValueError, match=f"coordinate {bad} outside 0..2"):
             space.hyperplane(v)
+
+
+def test_non_integral_entries_are_refused():
+    gf3 = field_from_order(3)
+    for rows, bad in [([[1.5, 0, 1], [0, 1, 2.9]], 1.5), (np.array([[1, 0, 1], [0, np.nan, 2]]), "nan")]:
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            LinearCode(gf3, rows)
+    # integral entries of any dtype read as before
+    want = LinearCode(gf3, [[1, 0, 1], [0, 1, 2]]).rows
+    for dtype in (np.float64, np.float32, np.uint8, np.int16, object):
+        assert np.array_equal(LinearCode(gf3, np.array([[1, 0, 1], [0, 1, 2]], dtype=dtype)).rows, want)

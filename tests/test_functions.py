@@ -1,8 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import cutcodes.functions
 from cutcodes import (
     DenseTable,
     EvenOrderWarning,
@@ -331,3 +333,24 @@ def test_zero_set_projective_needs_compatibility():
     g = DenseTable(field_from_order(3), 2, [0, 1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(NotScalarCompatible):
         zero_set(g, "projective")
+
+
+def test_non_integral_table_values_are_refused():
+    gf3 = field_from_order(3)
+    with pytest.raises(ValueError, match="table value 1.7 is not an integer"):
+        DenseTable(gf3, 1, [0, 1.7, 2.2])
+    for values in ([0.0, 1.0, 2.0], np.array([0, 1, 2], dtype=np.uint8)):
+        assert DenseTable(gf3, 1, values).table().tolist() == [0, 1, 2]
+
+
+def test_scalar_degree_is_scanned_once_per_function():
+    field = field_from_order(5)
+    functions = [
+        DenseTable(field, 2, MonomialBlocks(field, 2, 1).table()),
+        PolynomialSpec(field, 2, [(1, (2, 0)), (3, (1, 1))]),
+    ]
+    real = cutcodes.functions._scalar_degree
+    with mock.patch.object(cutcodes.functions, "_scalar_degree", side_effect=real) as scan:
+        for f in functions:
+            assert [f.scalar_degree() for _ in range(3)] == [2, 2, 2]
+    assert scan.call_count == len(functions)

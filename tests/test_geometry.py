@@ -166,6 +166,19 @@ def test_hyperplane_normal_roundtrip():
         assert hp == sub.point_set(punctured=True)
 
 
+def test_non_integral_coordinates_and_encodings_are_refused():
+    space = Space(field_from_order(3), 2)
+    with pytest.raises(ValueError, match="encoding 1.9 is not an integer"):
+        PointSet.from_encodings(space, [1.9, 2.0])
+    for call in (space.encode, space.hyperplane):
+        with pytest.raises(ValueError, match="coordinate 1.5 is not an integer"):
+            call((1.5, 0))
+    # integral values of any type read as before
+    assert PointSet.from_encodings(space, np.array([1.0, 2.0])) == PointSet.from_encodings(space, [1, 2])
+    assert space.encode((np.float64(2.0), np.int8(1))) == space.encode((2, 1)) == 5
+    assert space.hyperplane((1.0, 0)) == space.hyperplane((1, 0))
+
+
 def test_hyperplane_punctured_flag():
     space = Space(field_from_order(2), 3)
     punct = space.hyperplane((1, 0, 0))

@@ -114,14 +114,8 @@ def test_hyperplane_order_is_canonical(q, n):
         assert space.canonical_representative(space.decode(int(normals[h]))) == sub.normal()
 
 
-# odd-characteristic spaces: translate adds field elements for n = 1 and
-# otherwise two (even n) or three (odd n >= 3) groups of digits
+# odd-characteristic spaces, for the arithmetic on encodings
 ODD_SPACES = [(q, n) for q in (3, 5, 7, 9) for n in range(1, 6) if q**n <= 3000]
-
-
-def _digit_sum(space, a, b):
-    x, y = space.decode(int(a)), space.decode(int(b))
-    return space.encode(tuple(space.field.add(i, j) for i, j in zip(x, y)))
 
 
 @settings(max_examples=40)
@@ -132,33 +126,43 @@ def test_vector_arithmetic_on_encodings(qn, seed):
     rng = np.random.RandomState(seed)
     u, w = rng.randint(0, space.size, 20), rng.randint(0, space.size, 20)
     lam = int(rng.randint(0, space.q))
-    sums = add_encodings(space, u, w)
     scaled = scale_encodings(space, lam, u)
-    for a, b, s, m in zip(u, w, sums, scaled):
-        assert s == _digit_sum(space, a, b)
+    for a, m in zip(u, scaled):
         assert m == space.encode(tuple(f.mul(lam, i) for i in space.decode(int(a))))
     # the cutting scan's block shape: one row of w, columns of u
     block = space.translate(w[None, :7])(u[:, None])
     assert block.shape == (20, 7)
-    for a, row in zip(u, block):
-        assert row.tolist() == [_digit_sum(space, a, b) for b in w[:7]]
+    assert np.array_equal(block, add_encodings(space, u[:, None], w[None, :7]))
 
 
-@pytest.mark.parametrize("q,n", ODD_SPACES)
+# translate XORs in characteristic 2; otherwise it adds one group of digits
+# for n = 1, two for even n and three (the last of one digit) for odd n >= 3
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 9) for n in range(1, 6)])
 def test_translate_block_shape_adds_every_pair(q, n):
     space = _space(q, n)
     rng = np.random.RandomState(q * n)
     u = np.append(rng.randint(0, space.size, 30), [0, space.size - 1])
     w = np.append(rng.randint(0, space.size, 30), [0, space.size - 1])
     plus_w = space.translate(w[None, :])
-    want = [[_digit_sum(space, a, b) for b in w] for a in u]
-    assert plus_w(u[:, None]).tolist() == want
-    assert plus_w(u[::-1, None]).tolist() == want[::-1]
+    want = add_encodings(space, u[:, None], w[None, :])
+    assert np.array_equal(plus_w(u[:, None]), want)
+    assert np.array_equal(plus_w(u[::-1, None]), want[::-1])
     # a leading batch axis, as the weight-sum scan passes its (q-1, rows, 1)
-    assert plus_w(np.stack([u, u[::-1]])[..., None]).tolist() == [want, want[::-1]]
-    # any other shape broadcasts through the whole tables
-    assert add_encodings(space, u[None, :], w[:, None]).T.tolist() == want
-    assert all(table.size <= space.size for table in space._sum_tables.values())
+    assert np.array_equal(plus_w(np.stack([u, u[::-1]])[..., None]), np.stack([want, want[::-1]]))
+    assert all(table.size <= max(space.size, q * q) for table in space._sum_tables.values())
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (4, 3), (3, 1), (3, 2), (5, 3)])  # both characteristics
+def test_translate_refuses_other_shapes(q, n):
+    space = _space(q, n)
+    w = np.arange(space.size)
+    for row in (w, w[:, None], np.stack([w, w]), w[None, None, :]):
+        with pytest.raises(ValueError, match="one row of shape"):
+            space.translate(row)
+    plus_w = space.translate(w[None, :])
+    for cols in (w, w[None, :], np.stack([w, w]), np.int64(1)):
+        with pytest.raises(ValueError, match="columns of shape"):
+            plus_w(cols)
 
 
 @settings(max_examples=40)

@@ -415,27 +415,28 @@ def test_memoised_annihilator_blocks_equal_fresh_ones(q, n, chunk):
         for d in range(n + 1):
             before = table.cache_info()
             for space in (_space(q, n), _space(q, n)):  # two instances read one table
-                for per in (None, 1, q, q ** (n - d) * 3, chunk):
-                    for _ in range(2):  # the first call fills the table, the others read it
-                        got = list(space.subspace_blocks(d, "annihilator", per))
-                        want = list(space._build_blocks(d, "annihilator", per))
-                        assert [(s, p) for s, p, _ in got] == [(s, p) for s, p, _ in want]
-                        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+                for _ in range(2):  # the first call fills the table, the others read it
+                    got = list(space.subspace_blocks(d, "annihilator"))
+                    want = list(space._build_blocks(d, "annihilator"))
+                    assert [(s, p) for s, p, _ in got] == [(s, p) for s, p, _ in want]
+                    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+                    # at most chunk // q^(n-d) subspaces a block, one pattern each
+                    assert all(enc.shape[0] <= max(1, chunk // q ** (n - d)) for _, _, enc in got)
             after = table.cache_info()
             memoised = space.subspace_count(d) * q ** (n - d) <= chunk
-            # one table per memoised (field, n, d), built by the first call and read by the other 19
+            # one table per memoised (field, n, d), built by the first call and read by the other 3
             assert after.currsize - before.currsize == memoised
             assert (after.misses - before.misses, after.hits - before.hits) == (
-                (1, 19) if memoised else (0, 0)
+                (1, 3) if memoised else (0, 0)
             )
 
 
 def _count_builds(calls):
     real = Space._build_blocks
 
-    def counting(self, d, side, per=None):
+    def counting(self, d, side):
         calls.append((self.n, d, side))
-        return real(self, d, side, per)
+        return real(self, d, side)
 
     return mock.patch.object(Space, "_build_blocks", counting)
 
@@ -478,8 +479,8 @@ def test_cached_blocks_reject_writes():
     space = _space(3, 3)
     for d in range(1, 3):
         table = cutcodes.geometry._annihilator_table(space.field, 3, d)
-        slices = list(space.subspace_blocks(d, "annihilator", per=1))
-        for enc in [enc for _, _, enc in table + tuple(slices)]:
+        blocks = list(space.subspace_blocks(d, "annihilator"))
+        for enc in [enc for _, _, enc in table + tuple(blocks)]:
             with pytest.raises(ValueError, match="read-only"):
                 enc[0, 0] = 1
         assert all(enc[0, 0] == 0 for _, _, enc in table)
