@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
+import warnings
 from typing import Optional
 
 from .blocking import blocking_report
@@ -53,12 +53,12 @@ from .functions import (
     load_function_table,
     load_polynomial,
 )
-from .geometry import PointSet, load_point_set
+from .geometry import PointSet, _read_text, load_point_set
 from .repro import DEFAULT_SEED, run_all
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    lines = _opened("read config file", Path(path).read_text, "utf-8").splitlines()
+    lines = _opened("read config file", _read_text, path).splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -427,8 +427,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one stderr line, like the error lines: no source path or line."""
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except (ParseError, OriginInSet, NonCanonicalPoint) as exc:
@@ -443,6 +449,8 @@ def main(argv=None) -> int:
     except CutcodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ from .functions import (
     scalar_compatible,
     zero_set,
 )
-from .geometry import Space, _data_lines, _format_rows, _integral, _Rows
+from .geometry import Space, _format_rows, _integral, _Lines, _read_text, _Rows
 
 _BLOCK_ELEMS = 1 << 26
 _SCAN_ELEMS = 1 << 14  # weight lookups per weight-sum block
@@ -736,10 +736,10 @@ def write_generator_matrix(path, code: LinearCode):
 
 
 def parse_generator_matrix(text: str) -> LinearCode:
-    lines = _data_lines(text)
-    if not lines:
+    lines = _Lines(text)
+    if not len(lines):
         raise ParseError("empty generator-matrix file")
-    head = lines[0][1].split()
+    head = lines.tokens(0)
     if len(head) < 4:
         raise ParseError("header needs 'q length dim mode'")
     try:
@@ -761,7 +761,7 @@ def parse_generator_matrix(text: str) -> LinearCode:
         raise ParseError(str(exc)) from exc
     if len(lines) - 1 != dim:
         raise ParseError(f"expected {dim} rows, found {len(lines) - 1}")
-    rows = _Rows(lines[1:], length, f"expected {length} entries", "non-integer entry")
+    rows = _Rows(lines, length, f"expected {length} entries", "non-integer entry")
     rows.check_range(slice(None), q, lambda x: f"entry outside 0..{q - 1}")
     rows = rows.done().astype(np.int64)
     columns = None
@@ -789,4 +789,4 @@ def parse_generator_matrix(text: str) -> LinearCode:
 
 
 def load_generator_matrix(path) -> LinearCode:
-    return parse_generator_matrix(Path(path).read_text())
+    return parse_generator_matrix(_read_text(path))

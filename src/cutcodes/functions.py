@@ -17,7 +17,7 @@ import numpy as np
 from .bulk import ops_for
 from .errors import EvenOrderWarning, NotScalarCompatible
 from .field import Field
-from .geometry import PointSet, Space, _format_rows, _integral, _read_header, _Rows, _space_zeros
+from .geometry import PointSet, Space, _format_rows, _integral, _read_header, _read_text, _Rows, _space_zeros
 
 _CHUNK = 1 << 20
 _SCAN_LIMIT = 1 << 22
@@ -424,7 +424,7 @@ def parse_function_table(text: str) -> DenseTable:
 
 
 def load_function_table(path) -> DenseTable:
-    return parse_function_table(Path(path).read_text())
+    return parse_function_table(_read_text(path))
 
 
 def format_function_table(f: FunctionSpec) -> str:
@@ -452,4 +452,4 @@ def parse_polynomial(text: str) -> PolynomialSpec:
 
 
 def load_polynomial(path) -> PolynomialSpec:
-    return parse_polynomial(Path(path).read_text())
+    return parse_polynomial(_read_text(path))

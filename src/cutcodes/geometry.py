@@ -9,11 +9,12 @@ Space.subspace_blocks walks that order in numpy blocks, giving for each
 subspace either its points or the vectors of its annihilator, and
 Space.subspace_basis rebuilds the basis at any position, so a witness read
 from a block is the same subspace the canonical scan would have reported.
-An annihilator enumeration of at most _COUNT_CHUNK entries (for instance
-the hyperplanes' q-element lines span(h) in a small space) depends only on
-(field, n, d), so it is built once per process (_annihilator_table) and
-read by every caller of every request; the points side, whose scans often
-stop at their first block, is built afresh each time.
+The blocks are built column by column: a column's digits over a block are
+one small table of field sums, and the encodings one integer add per
+column, so no field op runs over a whole block. An enumeration of at most
+_COUNT_CHUNK entries, on either side, depends only on (field, n, d, side),
+so it is built once per process (_subspace_table) and read by every caller
+of every request; a larger one is built on each call, block by block.
 
 A PointSet is a bitmap over the q^n encodings that keeps its sorted
 encodings beside it: a set read from a file, given by encodings or built
@@ -44,10 +45,14 @@ to a pivot pattern's g, and the weight-sum scan (codes.is_minimal_weightsum)
 adds the -a*m_i of a block of classes to every class message m_j.
 
 The four input file formats (point sets here, function tables and
-polynomials in functions, generator matrices in codes) share one row
-reader, _Rows, which holds the error policy, and one writer, _format_rows.
-A "q n" header whose q^n encodings numpy cannot allocate is refused with
-BudgetExceeded.
+polynomials in functions, generator matrices in codes) share one reader
+and one writer, _format_rows. The reader finds the lines, comments and
+tokens of the whole file in one numpy pass over its code points (_Lines),
+with line breaks and spaces exactly those of str.splitlines and
+str.split, and reads tokens of ASCII digits in one more; any other token
+goes through int(). _Rows holds the error policy. A file that is not
+UTF-8 is a ParseError (_read_text), and a "q n" header whose q^n
+encodings numpy cannot allocate is refused with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ _COUNT_CHUNK = 1 << 18  # elements per temporary array of the subspace blocks an
 _COUNT_CAP = 1 << 22  # histogram entries (size * q) the count transform may hold
 assert _COUNT_CAP // 2 < 1 << 24  # its float32 counts, at most size <= cap / q, stay exact
 _GENERIC_POINT_CAP = 1 << 24  # subspace points a scan of one dimension may visit
-_VECTOR_TOKENS = 160  # point-file tokens below which int() parses faster than numpy
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,11 +88,11 @@ def _shift_matrix(field: Field) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _annihilator_table(field: Field, n: int, d: int) -> tuple:
-    """subspace_blocks(d, "annihilator") of Space(field, n), one read-only
-    block per pivot pattern. The key's field carries its modulus
-    (Field.__eq__), so two moduli of one order get two tables."""
-    blocks = tuple(Space(field, n)._build_blocks(d, "annihilator"))
+def _subspace_table(field: Field, n: int, d: int, side: str) -> tuple:
+    """subspace_blocks(d, side) of Space(field, n), one read-only block per
+    pivot pattern. The key's field carries its modulus (Field.__eq__), so
+    two moduli of one order get two tables."""
+    blocks = tuple(Space(field, n)._build_blocks(d, side))
     for _, _, enc in blocks:
         enc.flags.writeable = False
     return blocks
@@ -529,30 +533,46 @@ class Space:
         - side "annihilator": for each non-pivot column f the row
           w_f = e_f - sum_i rows[i][f] * e_(p_i) (r = n - d), orthogonal to
           every basis row, so enc lists the q^(n-d) vectors of ann K.
-        A block stays inside one pivot pattern and holds at most
-        _COUNT_CHUNK // q^r subspaces, at least one, so a block's enc has at
-        most _COUNT_CHUNK entries when one subspace's q^r fit. An annihilator
-        enumeration of at most _COUNT_CHUNK entries, one block per pivot
-        pattern under that rule, is read from _annihilator_table, built once
-        per process; the points side is built afresh on each call, so a scan
-        that stops early builds only the blocks it reads.
+        A block stays inside one pivot pattern and holds q^t <=
+        max(1, _COUNT_CHUNK // q^r) subspaces, so a block's enc has at most
+        _COUNT_CHUNK entries when one subspace's q^r fit. An enumeration of
+        at most _COUNT_CHUNK entries, on either side, depends only on
+        (field, n, d, side) and is read from _subspace_table, built once per
+        process, one block per pivot pattern; a larger one is built on each
+        call, so a scan that stops early builds only the blocks it reads.
         """
         if side not in ("points", "annihilator"):
             raise ValueError(f"unknown side {side!r}")
-        if side == "points" or self.subspace_count(d) * self.q ** (self.n - d) > _COUNT_CHUNK:
+        r = d if side == "points" else self.n - d
+        if self.subspace_count(d) * self.q**r > _COUNT_CHUNK:
             yield from self._build_blocks(d, side)
         else:
-            yield from _annihilator_table(self.field, self.n, d)
+            yield from _subspace_table(self.field, self.n, d, side)
 
     def _build_blocks(self, d: int, side: str):
-        """subspace_blocks, built from the canonical bases' free entries."""
+        """subspace_blocks, built column by column from the canonical bases'
+        free entries, with no field op over a whole block.
+
+        Within a pivot pattern of m free entries (the first most significant
+        in the canonical order), a block fixes the leading m - tail entries
+        and ranges over the trailing tail, q^tail <= max(1, _COUNT_CHUNK //
+        q^r) subspaces. Column col of the combination l is the field sum of
+        l_a * entry_j over col's terms (a, j). Its digits over (col's
+        trailing entries, l) form one table, built by field ops once per
+        pattern from combo; a block adds to it the sum over col's fixed
+        entries, a vector over l. enc is then base plus, per column, one
+        broadcast integer add of places[col] * table along the block axes
+        of col's trailing entries.
+        """
         q, n = self.q, self.n
         ops = ops_for(self.field)
+        el = ops.asarray(np.arange(q))
+        sign = el if side == "points" else ops.neg(el)  # an annihilator row holds -entry
         start = 0
         for pivots, free in self._pivot_patterns(d):
             others = [c for c in range(n) if c not in pivots]
-            # row i has a unit in column units[i]; column coords[c] of the
-            # combination l is the sum of l_i * entry_j over terms[c]
+            # row a has a unit in column units[a]; terms[c] lists the (a, j)
+            # with l_a * entry_j in column coords[c]
             if side == "points":
                 units, coords = list(pivots), others
                 terms = [[(i, j) for j, (i, c) in enumerate(free) if c == col] for col in coords]
@@ -560,26 +580,43 @@ class Space:
                 units, coords = others, list(pivots)
                 terms = [[(others.index(c), j) for j, (i, c) in enumerate(free) if i == row] for row in range(d)]
             r, m = len(units), len(free)
-            combo = ops.asarray((np.arange(q**r)[:, None] // q ** np.arange(r)) % q)
+            size = q**r
+            combo = ops.asarray((np.arange(size)[:, None] // q ** np.arange(r)) % q)
             base = combo.astype(np.int64) @ self.places[units]
-            digit = q ** np.arange(m - 1, -1, -1, dtype=np.int64)  # first free entry most significant
-            rows = max(1, _COUNT_CHUNK // q**r)
-            total = q**m
-            for lo in range(0, total, rows):
-                t = np.arange(lo, min(lo + rows, total), dtype=np.int64)
-                enc = np.repeat(base[None, :], t.size, axis=0)
-                for col, pairs in zip(coords, terms):
-                    val = None
-                    for i, j in pairs:
-                        entry = ops.asarray((t // digit[j]) % q)
-                        if side == "annihilator":
-                            entry = ops.neg(entry)
-                        term = ops.mul(combo[None, :, i], entry[:, None])
-                        val = term if val is None else ops.add(val, term)
-                    if val is not None:
-                        enc += val.astype(np.int64) * self.places[col]
-                yield start + lo, pivots, enc
-            start += total
+            tail = 0
+            while tail < m and q ** (tail + 1) <= _COUNT_CHUNK // size:
+                tail += 1
+            lead = m - tail
+            shape = (q,) * tail + (size,)
+            columns = []  # (place, fixed terms, trailing table, its block axes)
+            for col, pairs in zip(coords, terms):
+                table, axes = np.zeros(size, dtype=ops.dtype), [1] * tail
+                for a, j in pairs:
+                    if j >= lead:
+                        table = ops.add(table[..., None, :], ops.mul(sign[:, None], combo[:, a]))
+                        axes[j - lead] = q
+                fixed = [(a, j) for a, j in pairs if j < lead]
+                if fixed or table.ndim > 1:
+                    columns.append((self.places[col], fixed, table, axes + [size]))
+            for lo in range(q**lead):
+                head = base.copy()
+                parts = []
+                for place, fixed, table, axes in columns:
+                    digit = table
+                    for a, j in fixed:
+                        entry = (lo // q ** (lead - 1 - j)) % q
+                        if entry:
+                            digit = ops.add(digit, ops.mul_scalar(int(sign[entry]), combo[:, a]))
+                    if table.ndim == 1:
+                        head += digit.astype(np.int64) * place
+                    else:
+                        parts.append((digit.astype(np.int64) * place).reshape(axes))
+                enc = np.empty(shape, dtype=np.int64)
+                np.add(head, parts[0] if parts else 0, out=enc)
+                for part in parts[1:]:
+                    enc += part
+                yield start + lo * q**tail, pivots, enc.reshape(q**tail, size)
+            start += q**m
 
     def span_basis(self, enc) -> np.ndarray:
         """An echelon basis (one row of n coordinates each) of the span of the
@@ -758,23 +795,133 @@ class PointSet:
 
 # input files: a header line, then one row of integers per data line. '#'
 # starts a comment; blank lines are skipped but still count toward line
-# numbers.
-def _data_lines(text: str) -> list:
-    """(line number, text) of every line left after comments and blanks."""
-    return [
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.split("#", 1)[0].strip())
-    ]
+# numbers. Lines end where str.splitlines ends them ("\r\n" is one break)
+# and tokens are what str.split leaves, so both sets of code points are
+# spelled out here (tests check them against Python's over all of Unicode).
+_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACES = _BREAKS + "\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+_IS_TOKEN = np.ones(256, dtype=bool)  # per code point below 256: not a space
+_IS_TOKEN[[ord(c) for c in _SPACES if ord(c) < 256]] = False
+_IS_BREAK = np.zeros(256, dtype=bool)  # and a line break
+_IS_BREAK[[ord(c) for c in _BREAKS if ord(c) < 256]] = True
+_PLAIN_DIGITS = 18  # ASCII digits that always fit int64
+_TENS = 10 ** np.arange(_PLAIN_DIGITS - 1, -1, -1)  # the places of such digits
+_TAIL = np.arange(-_PLAIN_DIGITS, 0)  # and their offsets from the end of the token
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file; other bytes are a ParseError."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def _char_kinds(text: str):
+    """The code points of text, as bytes when it is ASCII, and which of them
+    are token characters (comments aside) and line breaks."""
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        return chars, _IS_TOKEN.take(chars), _IS_BREAK.take(chars)
+    return _wide_char_kinds(text)
+
+
+def _wide_char_kinds(text: str):
+    """_char_kinds of any text, as 32-bit code points."""
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    low = np.minimum(chars, 255)  # 255 is a token character
+    token, newline = _IS_TOKEN.take(low), _IS_BREAK.take(low)
+    for c in _SPACES:
+        if ord(c) > 255 and c in text:
+            at = chars == ord(c)
+            token[at] = False
+            newline[at] = c in _BREAKS
+    return chars, token, newline
+
+
+class _Lines:
+    """The data lines of a file, found by one numpy pass over its code points.
+
+    The text is read with a line break added at each end, so a token never
+    touches either end and a character's line number is the count of
+    breaks up to it. Token t is text[starts[t]:ends[t]] of that padded
+    text; data line k, a line with a token left once its comment is cut,
+    is file line linenos[k] and holds tokens bounds[k]:bounds[k + 1].
+    """
+
+    def __init__(self, text: str):
+        self.text = text = "\n" + text + "\n"
+        chars, token, newline = _char_kinds(text)
+        self.chars = chars
+        if "\r\n" in text:  # one break, counted at the "\r"
+            newline[1:] &= (chars[1:] != 10) | (chars[:-1] != 13)
+        if "#" in text:  # a comment runs from its '#' to the end of the line
+            at = np.arange(chars.size)
+            last_hash = np.maximum.accumulate(np.where(chars == ord("#"), at, -1))
+            token &= last_hash < np.maximum.accumulate(np.where(newline, at, -1))
+        edges = (token[1:] != token[:-1]).nonzero()[0] + 1
+        self.starts, self.ends = edges[::2], edges[1::2]
+        line = newline.cumsum()[self.starts]
+        # a data line starts at the first token and wherever the line number steps
+        first = np.ones(line.size + 1, dtype=bool)
+        np.not_equal(line[1:], line[:-1], out=first[1:-1])
+        self.bounds = first.nonzero()[0]
+        self.linenos = line[self.bounds[:-1]]
+
+    def __len__(self) -> int:
+        return self.linenos.size
+
+    def tokens(self, k: int) -> list:
+        """The tokens of data line k, as text."""
+        lo, hi = self.bounds[k : k + 2].tolist()
+        return [self.text[s:e] for s, e in zip(self.starts[lo:hi].tolist(), self.ends[lo:hi].tolist())]
+
+    def integers(self, lo: int, hi: int):
+        """int() of tokens lo..hi-1 up to the first that is not an integer.
+
+        Returns the values, as int64 or, when one passes that range, as
+        Python ints in an object array, and how many tokens parsed. Tokens of
+        at most _PLAIN_DIGITS ASCII digits are read in one numpy pass over
+        their last characters; any other token goes through int().
+        """
+        starts, ends = self.starts[lo:hi], self.ends[lo:hi]
+        lengths = ends - starts
+        longest = int(lengths.max(initial=0))
+        width = min(longest, _PLAIN_DIGITS)
+        # the last `width` characters of every token, those before its start
+        # read as zeros
+        pos = ends[:, None] + _TAIL[_PLAIN_DIGITS - width :]
+        digits = self.chars[pos] - ord("0")  # unsigned: any other character passes 9
+        if width > 1:
+            digits[pos < starts[:, None]] = 0
+        values = digits @ _TENS[_PLAIN_DIGITS - width :]
+        odd = []  # the tokens int() reads
+        if longest > _PLAIN_DIGITS or digits.max(initial=0) > 9:
+            odd = ((digits.max(axis=1) > 9) | (lengths > _PLAIN_DIGITS)).nonzero()[0].tolist()
+        parsed = values.size
+        other = {}
+        for t in odd:
+            try:
+                other[t] = int(self.text[starts[t] : ends[t]])
+            except ValueError:
+                parsed = t
+                break
+        if other:
+            if not all(-(2**63) <= v < 2**63 for v in other.values()):
+                values = values.astype(object)
+            values[list(other)] = list(other.values())
+        return values[:parsed], parsed
 
 
 def _read_header(text: str, what: str):
-    """The Space of a "q n [modulus]" file and its data lines after the header."""
-    lines = _data_lines(text)
-    if not lines:
+    """The Space of a "q n [modulus]" file and the file's _Lines, header first."""
+    lines = _Lines(text)
+    if not len(lines):
         raise ParseError(f"empty {what} file")
-    lineno, line = lines[0]
-    parts = line.split()
+    lineno, parts = int(lines.linenos[0]), lines.tokens(0)
     if len(parts) < 2:
         raise ParseError(f"line {lineno}: header needs at least 'q n'")
     try:
@@ -789,7 +936,7 @@ def _read_header(text: str, what: str):
         field = field_from_order(q, modulus)
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from exc
-    return Space(field, n), lines[1:]
+    return Space(field, n), lines
 
 
 def _space_zeros(space: Space, dtype) -> np.ndarray:
@@ -803,40 +950,9 @@ def _space_zeros(space: Space, dtype) -> np.ndarray:
         ) from exc
 
 
-def _int_tokens(tokens: list):
-    """int() of each token up to the first that is not an integer.
-
-    Returns the values, as int64 or, past that range, as Python ints in an
-    object array, and how many tokens parsed. At least _VECTOR_TOKENS tokens
-    of at most five ASCII digits, enough for any element code below 2^16,
-    are read in one numpy pass; fewer tokens, or any other token, go
-    through int() one at a time.
-    """
-    text = " ".join(tokens)
-    if len(tokens) >= _VECTOR_TOKENS and text.isascii():
-        chars = np.frombuffer(text.encode(), dtype=np.uint8)
-        ends = np.append(np.flatnonzero(chars == ord(" ")), chars.size)
-        starts = np.append(0, ends[:-1] + 1)
-        width = int((ends - starts).max())
-        if width <= 5:
-            # the last `width` characters of every token, left-padded with zeros
-            pos = ends[:, None] - width + np.arange(width)
-            digits = chars[np.maximum(pos, 0)].astype(np.int64) - ord("0")
-            digits[pos < starts[:, None]] = 0
-            if ((digits >= 0) & (digits <= 9)).all():
-                return digits @ 10 ** np.arange(width - 1, -1, -1), len(tokens)
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            break
-    return np.array(values, dtype=object), len(values)
-
-
 class _Rows:
-    """A file body read as integer rows of a fixed width, one per data line,
-    all tokens converted in one pass.
+    """A file body, the data lines after the header line, read as integer
+    rows of a fixed width.
 
     The first bad line wins, and on one line the checks run in the order
     they are made: the token count and the integer check here, then the
@@ -846,19 +962,20 @@ class _Rows:
     blank lines counted.
     """
 
-    def __init__(self, lines: list, width: int, wrong_count: str, non_integer: str):
-        self.linenos = [lineno for lineno, _ in lines]
-        parts = [line.split() for _, line in lines]
-        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        values, parsed = _int_tokens(list(itertools.chain.from_iterable(parts)))
-        self.count = len(lines)
+    def __init__(self, lines: _Lines, width: int, wrong_count: str, non_integer: str):
+        self.linenos = lines.linenos[1:].tolist()
+        bounds = lines.bounds[1:]
+        self.count = len(self.linenos)
         self.error = None
-        wrong = np.flatnonzero(counts != width)
+        wrong = (bounds[1:] - bounds[:-1] != width).nonzero()[0]
         if wrong.size:
             self.fail(int(wrong[0]), wrong_count)
-        if parsed < self.count * width:
+        # the rows before the first wrong count hold `width` tokens each; a
+        # matrix header may declare a length below 1, and then no row is read
+        size = self.count * max(width, 0)
+        values, parsed = lines.integers(int(bounds[0]), int(bounds[0]) + size)
+        if parsed < size:
             self.fail(parsed // width, non_integer)
-        # a matrix header may declare a length below 1; then no row is read
         self._values = values[: self.count * width].reshape(self.count, max(width, 0))
 
     @property
@@ -879,20 +996,21 @@ class _Rows:
         """Fail at the first row with an entry in cols outside 0..q-1; like
         Space.encode, message(x) names the row's last such entry x."""
         v = self.values[:, cols]
-        hit = np.flatnonzero(((v < 0) | (v >= q)).any(axis=1))
-        if hit.size:
-            k = int(hit[0])
+        if v.size and (v.min() < 0 or v.max() >= q):
+            k = int(((v < 0) | (v >= q)).any(axis=1).nonzero()[0][0])
             self.fail(k, message(next(x for x in reversed(v[k].tolist()) if not 0 <= x < q)))
 
-    def check_repeats(self, keys: np.ndarray, n: int):
+    def check_repeats(self, keys: np.ndarray, n: int) -> np.ndarray:
         """Fail at the first row whose key, one per row of values, repeats an
-        earlier row's, naming the row's point, its first n entries."""
-        # a stable sort puts each repeat after the row it repeats
-        order = np.argsort(keys, kind="stable")
-        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if repeats.size:
-            k = int(repeats.min())
+        earlier row's, naming the row's point, its first n entries; returns
+        the keys sorted."""
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            # a stable sort puts each repeat after the row it repeats
+            order = np.argsort(keys, kind="stable")
+            k = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
             self.fail(k, f"duplicate point {tuple(self._values[k, :n].tolist())}")
+        return ordered
 
     def done(self) -> np.ndarray:
         """Every row, or the first failure raised as a ParseError."""
@@ -917,15 +1035,14 @@ def parse_point_set(text: str):
     bits = _space_zeros(space, bool)
     rows = _Rows(lines, n, f"expected {n} coordinates", "non-integer coordinate")
     rows.check_range(slice(None), q, lambda x: f"coordinate {x} outside 0..{q - 1}")
-    enc = space.encode_block(rows.values)
-    rows.check_repeats(enc, n)
+    enc = rows.check_repeats(space.encode_block(rows.values), n)
     rows.done()
     bits[enc] = True
-    return space, PointSet._of_sorted(space, bits, np.sort(enc))
+    return space, PointSet._of_sorted(space, bits, enc)
 
 
 def load_point_set(path):
-    return parse_point_set(Path(path).read_text())
+    return parse_point_set(_read_text(path))
 
 
 def format_point_set(pset: PointSet) -> str:

@@ -454,6 +454,26 @@ def literal_data_lines(text):
     ]
 
 
+def literal_rows(text, width, wrong_count, non_integer):
+    """The row reader, line by line: the header line's tokens (None for a
+    file without data lines) and the integer rows after it, or the
+    ParseError of the first line with a wrong token count or a token int()
+    refuses, the count checked first."""
+    lines = literal_data_lines(text)
+    if not lines:
+        return None, []
+    rows = []
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(f"line {lineno}: {wrong_count}")
+        try:
+            rows.append([int(x) for x in parts])
+        except ValueError:
+            raise ParseError(f"line {lineno}: {non_integer}") from None
+    return lines[0][1].split(), rows
+
+
 def _literal_header(line, lineno):
     parts = line.split()
     if len(parts) < 2:

@@ -295,6 +295,41 @@ def test_files_that_cannot_be_opened_are_usage_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "blocking --k 1 --in {bad}",
+        "analyze --table {bad}",
+        "analyze --family polyzero --poly {bad}",
+        "analyze --matrix {bad}",
+        "analyze --q 2 --r 2 --k 2 --config {bad}",
+    ],
+)
+def test_files_that_are_not_utf8_are_input_errors(tmp_path, capsys, argv):
+    # byte 0xff never occurs in UTF-8; the file line holding it is named
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3 2\n1 \xff\n")
+    code, out, err = run_cli(capsys, *argv.format(bad=bad).split())
+    assert (code, out) == (3, "")
+    assert err == "input error: ParseError: line 2: not UTF-8 text (invalid start byte)\n"
+
+
+def test_warnings_are_one_line_without_their_source(tmp_path):
+    # f = 0 on GF(3)^3 builds a code of dimension 3 below 4; run as a
+    # program, so that Python's own warning display is in force
+    table = tmp_path / "z.txt"
+    table.write_text("3 3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutcodes.cli", "analyze", "--table", str(table)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: DegenerateDimensionWarning: code dimension 3 below 4: "
+        "the function is linear on nonzero points or vanishes off a hyperplane\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv,weight",
     [
         ("analyze --table {table} --json", 18),

@@ -1,9 +1,9 @@
 """The four input file formats: frozen error texts, a differential test
 against the literal per-line parsers, and byte-identical writers.
 
-Every case runs under both paths of the token reader: the numpy digit pass
-(_VECTOR_TOKENS = 0) and the default, where files this small go through
-int() one token at a time.
+Every case runs under both code-point paths of the token reader: 0 reads
+every text as 32-bit code points (_wide_char_kinds), None is the default,
+which reads an ASCII text as bytes.
 """
 
 import re
@@ -48,12 +48,12 @@ from helpers import (
     literal_parse_polynomial,
 )
 
-VECTOR_TOKENS = [0, None]  # numpy digits / the default
+WIDE = [0, None]  # 32-bit code points for every text / the default
 
 
-def _raises(monkeypatch, vector_tokens, parse, text):
-    if vector_tokens is not None:
-        monkeypatch.setattr(geometry, "_VECTOR_TOKENS", vector_tokens)
+def _raises(monkeypatch, wide, parse, text):
+    if wide is not None:
+        monkeypatch.setattr(geometry, "_char_kinds", geometry._wide_char_kinds)
     with pytest.raises(ParseError) as err:
         parse(text)
     return str(err.value)
@@ -97,9 +97,9 @@ def _raises(monkeypatch, vector_tokens, parse, text):
         ("6 2\n1 0 1\n", "line 1: order 6 is not a prime power"),
     ],
 )
-@pytest.mark.parametrize("vector_tokens", VECTOR_TOKENS)
-def test_function_table_parse_error_messages(monkeypatch, text, message, vector_tokens):
-    assert _raises(monkeypatch, vector_tokens, parse_function_table, text) == message
+@pytest.mark.parametrize("wide", WIDE)
+def test_function_table_parse_error_messages(monkeypatch, text, message, wide):
+    assert _raises(monkeypatch, wide, parse_function_table, text) == message
 
 
 @pytest.mark.parametrize(
@@ -127,9 +127,9 @@ def test_function_table_parse_error_messages(monkeypatch, text, message, vector_
         ("x 2\n", "line 1: non-integer in header"),
     ],
 )
-@pytest.mark.parametrize("vector_tokens", VECTOR_TOKENS)
-def test_polynomial_parse_error_messages(monkeypatch, text, message, vector_tokens):
-    assert _raises(monkeypatch, vector_tokens, parse_polynomial, text) == message
+@pytest.mark.parametrize("wide", WIDE)
+def test_polynomial_parse_error_messages(monkeypatch, text, message, wide):
+    assert _raises(monkeypatch, wide, parse_polynomial, text) == message
 
 
 # row faults name the file line; the line-by-line parser numbered rows by
@@ -160,22 +160,22 @@ def test_polynomial_parse_error_messages(monkeypatch, text, message, vector_toke
         ("", "empty generator-matrix file"),
     ],
 )
-@pytest.mark.parametrize("vector_tokens", VECTOR_TOKENS)
-def test_generator_matrix_parse_error_messages(monkeypatch, text, message, vector_tokens):
-    assert _raises(monkeypatch, vector_tokens, parse_generator_matrix, text) == message
+@pytest.mark.parametrize("wide", WIDE)
+def test_generator_matrix_parse_error_messages(monkeypatch, text, message, wide):
+    assert _raises(monkeypatch, wide, parse_generator_matrix, text) == message
 
 
-@pytest.mark.parametrize("vector_tokens", VECTOR_TOKENS)
-def test_generator_matrix_errors_name_the_file_line(monkeypatch, vector_tokens):
+@pytest.mark.parametrize("wide", WIDE)
+def test_generator_matrix_errors_name_the_file_line(monkeypatch, wide):
     # the fault is on file line 3, the first row after a comment and the header
-    message = _raises(monkeypatch, vector_tokens, parse_generator_matrix, "# c\n2 3 1 raw\n1 0 2\n")
+    message = _raises(monkeypatch, wide, parse_generator_matrix, "# c\n2 3 1 raw\n1 0 2\n")
     assert message == "line 3: entry outside 0..1"
 
 
-@pytest.mark.parametrize("vector_tokens", VECTOR_TOKENS)
-def test_tokens_of_any_spelling_parse_alike(monkeypatch, vector_tokens):
-    if vector_tokens is not None:
-        monkeypatch.setattr(geometry, "_VECTOR_TOKENS", vector_tokens)
+@pytest.mark.parametrize("wide", WIDE)
+def test_tokens_of_any_spelling_parse_alike(monkeypatch, wide):
+    if wide is not None:
+        monkeypatch.setattr(geometry, "_char_kinds", geometry._wide_char_kinds)
     table = parse_function_table("3 2\n\u0662 0 1\n+1\u00a01 00002  # c\n")
     assert table.table().tolist() == [0, 0, 1, 0, 2, 0, 0, 0, 0]
     poly = parse_polynomial("3 2\n2 100000000000000000000 0\n1 0 00\n")
@@ -319,10 +319,10 @@ def _file_lines(text, message):
     st.sampled_from(sorted(PARSERS)),
     st.sampled_from(FIELDS),
     st.booleans(),
-    st.sampled_from(VECTOR_TOKENS),
+    st.sampled_from(WIDE),
     st.integers(0, 2**32 - 1),
 )
-def test_parsers_match_the_literal_parsers(kind, q, corrupt, vector_tokens, seed):
+def test_parsers_match_the_literal_parsers(kind, q, corrupt, wide, seed):
     rng = np.random.default_rng(seed)
     header, rows = _body(kind, q, rng)
     if corrupt:
@@ -330,9 +330,8 @@ def test_parsers_match_the_literal_parsers(kind, q, corrupt, vector_tokens, seed
     text = _text(header, rows, rng)
     parse, literal = PARSERS[kind]
     want, want_error = _outcome(literal, text)
-    if vector_tokens is None:
-        vector_tokens = geometry._VECTOR_TOKENS
-    with mock.patch.object(geometry, "_VECTOR_TOKENS", vector_tokens):
+    kinds = geometry._char_kinds if wide is None else geometry._wide_char_kinds
+    with mock.patch.object(geometry, "_char_kinds", kinds):
         got, got_error = _outcome(parse, text)
     if want_error is not None:
         assert got_error == _file_lines(text, want_error)

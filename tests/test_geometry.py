@@ -303,19 +303,19 @@ def test_point_set_parse_errors():
         ("16 2\n15 3\n3 15\n15 3\n", "line 4: duplicate point (15, 3)"),
     ],
 )
-@pytest.mark.parametrize("vector_tokens", [0, None])  # numpy digits / the default
-def test_point_set_parse_error_messages(monkeypatch, text, message, vector_tokens):
-    if vector_tokens is not None:
-        monkeypatch.setattr(geometry, "_VECTOR_TOKENS", vector_tokens)
+@pytest.mark.parametrize("wide", [0, None])  # 32-bit code points for every text / the default
+def test_point_set_parse_error_messages(monkeypatch, text, message, wide):
+    if wide is not None:
+        monkeypatch.setattr(geometry, "_char_kinds", geometry._wide_char_kinds)
     with pytest.raises(ParseError) as err:
         parse_point_set(text)
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("vector_tokens", [0, None])
-def test_point_set_parse_token_widths(monkeypatch, vector_tokens):
-    if vector_tokens is not None:
-        monkeypatch.setattr(geometry, "_VECTOR_TOKENS", vector_tokens)
+@pytest.mark.parametrize("wide", [0, None])
+def test_point_set_parse_token_widths(monkeypatch, wide):
+    if wide is not None:
+        monkeypatch.setattr(geometry, "_char_kinds", geometry._wide_char_kinds)
     space, pset = parse_point_set("16 2\n15 3\n3 15\n  10\t00000 # last\n")
     assert sorted(pset.encodings().tolist()) == [10, 63, 243]
 

@@ -6,8 +6,8 @@ read |S n K| from the points of K or from the hyperplane counts over ann K
 the literal per-subspace loops in both flavors, plant failures, force each
 side of the points/annihilator choice, check that over-cap requests are
 refused before any count, the per-hyperplane scan included, check
-the process-level table of small annihilator enumerations (one build per
-field, modulus included, n and d; read-only), check that the cutting
+the process-level table of small enumerations on either side (one build
+per field, modulus included, n, d and side; read-only), check that the cutting
 check's chunks inside one count block keep the witness, check that a
 points-side report takes no hyperplane counts, check that a failing
 trace's container is the first in canonical order on either side of the
@@ -269,7 +269,7 @@ def test_check_chunks_inside_one_count_block(q, n, k, flavor, seed, density):
     for rows in (1, 2, 5):
         with mock.patch.object(cutcodes.blocking, "_COUNT_CHUNK", rows * per_k):
             assert is_cutting(pset, k, flavor) == want
-            # count blocks of 7 K, each split into check chunks of `rows` K
+            # count blocks of q^t <= 7 K, each split into check chunks of `rows` K
             with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", 7 * q**k):
                 assert is_cutting(pset, k, flavor) == want
 
@@ -406,29 +406,40 @@ def test_hyperplane_scan_past_the_point_cap_is_refused(tmp_path, capsys):
         assert counts[v] == np.count_nonzero(mask & (space.dot_all(space.decode(v)) == 0))
 
 
-@pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (3, 4), (5, 3)])
-def test_memoised_annihilator_blocks_equal_fresh_ones(q, n, chunk):
-    table = cutcodes.geometry._annihilator_table
+def _check_memoised_blocks(q, n, chunk, side):
+    table = cutcodes.geometry._subspace_table
     table.cache_clear()
     with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", chunk):
         for d in range(n + 1):
+            r = d if side == "points" else n - d
             before = table.cache_info()
             for space in (_space(q, n), _space(q, n)):  # two instances read one table
                 for _ in range(2):  # the first call fills the table, the others read it
-                    got = list(space.subspace_blocks(d, "annihilator"))
-                    want = list(space._build_blocks(d, "annihilator"))
+                    got = list(space.subspace_blocks(d, side))
+                    want = list(space._build_blocks(d, side))
                     assert [(s, p) for s, p, _ in got] == [(s, p) for s, p, _ in want]
                     assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
-                    # at most chunk // q^(n-d) subspaces a block, one pattern each
-                    assert all(enc.shape[0] <= max(1, chunk // q ** (n - d)) for _, _, enc in got)
+                    # at most chunk // q^r subspaces a block, one pattern each
+                    assert all(enc.shape[0] <= max(1, chunk // q**r) for _, _, enc in got)
             after = table.cache_info()
-            memoised = space.subspace_count(d) * q ** (n - d) <= chunk
-            # one table per memoised (field, n, d), built by the first call and read by the other 3
+            memoised = space.subspace_count(d) * q**r <= chunk
+            # one table per memoised (field, n, d, side), built by the first call and read by the other 3
             assert after.currsize - before.currsize == memoised
             assert (after.misses - before.misses, after.hits - before.hits) == (
                 (1, 3) if memoised else (0, 0)
             )
+
+
+@pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (3, 4), (5, 3)])
+def test_memoised_annihilator_blocks_equal_fresh_ones(q, n, chunk):
+    _check_memoised_blocks(q, n, chunk, "annihilator")
+
+
+@pytest.mark.parametrize("chunk", [cutcodes.geometry._COUNT_CHUNK, 32])
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (4, 3), (3, 4), (5, 3)])
+def test_memoised_points_blocks_equal_fresh_ones(q, n, chunk):
+    _check_memoised_blocks(q, n, chunk, "points")
 
 
 def _count_builds(calls):
@@ -443,7 +454,7 @@ def _count_builds(calls):
 
 @pytest.mark.parametrize("q,r,k", [(2, 2, 2), (3, 2, 2), (4, 3, 1)])
 def test_hyperplane_blocks_are_built_once_per_space(q, r, k):
-    cutcodes.geometry._annihilator_table.cache_clear()
+    cutcodes.geometry._subspace_table.cache_clear()
     f = MonomialBlocks(field_from_order(q), r, k)  # n = r * k >= 3
     again = MonomialBlocks(field_from_order(q), r, k)  # the same space, another Space instance
     assert again.space == f.space and again.space is not f.space
@@ -460,40 +471,51 @@ def test_hyperplane_blocks_are_built_once_per_space(q, r, k):
 
 
 def test_each_modulus_of_an_order_gets_its_own_table():
-    table = cutcodes.geometry._annihilator_table
+    table = cutcodes.geometry._subspace_table
     table.cache_clear()
     spaces = [Space(field_from_order(8, m), 3) for m in ((1, 1, 0, 1), (1, 0, 1, 1))]  # x^3+x+1, x^3+x^2+1
     assert spaces[0].field != spaces[1].field
-    for d in range(4):
-        got = [list(space.subspace_blocks(d, "annihilator")) for space in spaces]
-        for space, blocks in zip(spaces, got):
-            want = list(space._build_blocks(d, "annihilator"))
-            assert [(s, p) for s, p, _ in blocks] == [(s, p) for s, p, _ in want]
-            assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(blocks, want))
-        if d in (1, 2):  # the products differ between the moduli, so do the annihilators
-            assert any(not np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(*got))
-    assert table.cache_info().currsize == 2 * 4
+    for side in ("points", "annihilator"):
+        for d in range(4):
+            got = [list(space.subspace_blocks(d, side)) for space in spaces]
+            for space, blocks in zip(spaces, got):
+                want = list(space._build_blocks(d, side))
+                assert [(s, p) for s, p, _ in blocks] == [(s, p) for s, p, _ in want]
+                assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(blocks, want))
+            if d in (1, 2):  # the products differ between the moduli, so do the blocks
+                assert any(not np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(*got))
+    assert table.cache_info().currsize == 2 * 2 * 4
 
 
 def test_cached_blocks_reject_writes():
     space = _space(3, 3)
-    for d in range(1, 3):
-        table = cutcodes.geometry._annihilator_table(space.field, 3, d)
-        blocks = list(space.subspace_blocks(d, "annihilator"))
-        for enc in [enc for _, _, enc in table + tuple(blocks)]:
-            with pytest.raises(ValueError, match="read-only"):
-                enc[0, 0] = 1
-        assert all(enc[0, 0] == 0 for _, _, enc in table)
+    for side in ("points", "annihilator"):
+        for d in range(1, 3):
+            table = cutcodes.geometry._subspace_table(space.field, 3, d, side)
+            blocks = list(space.subspace_blocks(d, side))
+            for enc in [enc for _, _, enc in table + tuple(blocks)]:
+                with pytest.raises(ValueError, match="read-only"):
+                    enc[0, 0] = 1
+            assert all(enc[0, 0] == 0 for _, _, enc in table)
 
 
-def test_points_side_is_never_memoised():
+def test_each_side_is_memoised_only_within_the_chunk():
+    # GF(3)^4 at a chunk of 200 entries: on the points side d = 0, 1, 4 fit
+    # (1, 40 * 3, 1 * 81 entries) and d = 2, 3 do not (130 * 9, 40 * 27);
+    # on the annihilator side d = 0, 3, 4 fit and d = 1, 2 do not
     space = _space(3, 4)
-    calls = []
-    with _count_builds(calls):
-        for d in range(5):
-            for _ in range(2):
-                list(space.subspace_blocks(d, "points"))
-    assert calls == [(4, d, "points") for d in range(5) for _ in range(2)]
+    cutcodes.geometry._subspace_table.cache_clear()
+    fits = {"points": (0, 1, 4), "annihilator": (0, 3, 4)}
+    for side, small in fits.items():
+        entries = [space.subspace_count(d) * 3 ** (d if side == "points" else 4 - d) for d in range(5)]
+        assert [e <= 200 for e in entries] == [d in small for d in range(5)]
+        calls = []
+        with mock.patch.object(cutcodes.geometry, "_COUNT_CHUNK", 200), _count_builds(calls):
+            for d in range(5):
+                for _ in range(2):
+                    list(space.subspace_blocks(d, side))
+        # a table is built by the first call only; a larger enumeration on every call
+        assert calls == [(4, d, side) for d in range(5) for _ in range(1 if d in small else 2)]
 
 
 def test_points_side_report_takes_no_hyperplane_counts():
