@@ -315,19 +315,9 @@ def cmd_survey(args) -> int:
     r_values = _parse_r_range(args.r)
     if not r_values:
         raise UsageError(f"empty r range {args.r!r}")
-    modulus = _parse_modulus(args.modulus)
-    # the family parameters, checked here so a bad one is a usage error
-    field = _checked(field_from_order, args.q, modulus)
-    for r in r_values:
-        _checked(MonomialBlocks, field, r, args.k)
-    rows = survey_family(
-        args.q,
-        r_values,
-        args.k,
-        mode="projective" if args.projective else "affine",
-        config=cfg,
-        modulus=modulus,
-    )
+    mode = "projective" if args.projective else "affine"
+    # survey_family builds every family before any work, so a bad parameter is a usage error
+    rows = _checked(survey_family, args.q, r_values, args.k, mode, cfg, _parse_modulus(args.modulus))
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:

@@ -23,12 +23,13 @@ independent routes:
 - the blocking-set theorem certificate.
 
 METHOD_ROUTES lists is_minimal's methods once, in survey's fallback order.
-Every route is budget-gated before any work and fails loudly instead of
-degrading silently: an enumerative one by its _ROUTES cost, a formula of the
-code that still charges the pair-by-pair cost per coordinate of the length,
-not the work these kernels do (ROADMAP item 5); the theorem route by
-blocking's hypothesis-scan budget. survey builds through the same builders,
-under the same point cap.
+require_budgets alone decides, before any work, whether a route runs;
+ab_check and survey ask it through _admits to choose a route. A refused
+route fails loudly instead of degrading silently: an enumerative one by its
+_ROUTES cost, a formula of the code that still charges the pair-by-pair
+cost per coordinate of the length, not the work these kernels do (ROADMAP
+item 5); the theorem route by blocking's hypothesis-scan budget. survey
+builds through the same builders, under the same point cap.
 """
 
 from __future__ import annotations
@@ -117,6 +118,17 @@ def require_budgets(code: LinearCode, routes, config: Optional[Config] = None):
         budget = getattr(cfg, key)
         if cost > budget:
             raise BudgetExceeded(f"{what} needs about {cost:.2e} ops, budget {budget:.2e}")
+
+
+def _admits(code: Optional[LinearCode], routes, config: Optional[Config]) -> bool:
+    """True when there is a code and require_budgets lets it through routes."""
+    if code is None:
+        return False
+    try:
+        require_budgets(code, routes, config)
+    except BudgetExceeded:
+        return False
+    return True
 
 
 class LinearCode:
@@ -580,22 +592,19 @@ def _ab_verdict(q: int, weights, zero_count, threshold) -> ABReport:
 
 
 def ab_check(code: LinearCode, config: Optional[Config] = None) -> ABReport:
-    """Ratio verdict for a code: from its weight distribution when that is
-    within the weight budget, else from the zero-count threshold, which
-    structured codes over n >= 2 variables carry unless f vanishes on every
-    column (threshold and threshold_hit None)."""
+    """Ratio verdict for a code: from its weight distribution when the code
+    admits that route, else from the zero-count threshold. Only structured
+    codes over n >= 2 variables carry one (a raw code's columns need not be
+    the function's points), and not when f vanishes on every column
+    (threshold and threshold_hit None)."""
     zero_count = threshold = None
-    if code.function is not None and code.ambient_n is not None and code.ambient_n >= 2:
-        mode = code.mode if code.mode != "raw" else "affine"
-        zmode = "affine_star" if mode == "affine" else "projective"
+    if code.function is not None and code.mode != "raw" and code.ambient_n is not None and code.ambient_n >= 2:
+        zmode = "affine_star" if code.mode == "affine" else "projective"
         zero_count = len(zero_set(code.function, zmode))
         # the threshold argument needs a nonzero codeword u*f, so f nonzero on some column
         if zero_count < code.length:
-            threshold = ab_zero_threshold(code.field.q, code.ambient_n, mode)
-    try:
-        weights = weight_distribution(code, config)
-    except BudgetExceeded:
-        weights = None
+            threshold = ab_zero_threshold(code.field.q, code.ambient_n, code.mode)
+    weights = weight_distribution(code, config) if _admits(code, ("weights",), config) else None
     return _ab_verdict(code.field.q, weights, zero_count, threshold)
 
 
@@ -613,22 +622,6 @@ def ab_r_threshold(q: int) -> tuple:
     return value, r_min
 
 
-def _survey_minimality(
-    code: Optional[LinearCode], applies: Optional[bool], cfg: Config
-) -> MinimalityReport:
-    """The first method of METHOD_ROUTES with a verdict: an enumerative one
-    within budget on a built code, else the theorem certificate, read from
-    the audit the row already holds (applies)."""
-    for method in METHOD_ROUTES:
-        if method == "theorem" or code is None:
-            break
-        try:
-            return is_minimal(code, method, cfg)
-        except BudgetExceeded:
-            continue
-    return MinimalityReport(True, "theorem") if applies else MinimalityReport(None, "none")
-
-
 def survey_family(
     q: int,
     r_values,
@@ -642,12 +635,13 @@ def survey_family(
     Every family is built before the first row, so a bad r is refused
     before any work. The code is built by the same builder, under the same
     point cap, as analyze's; zero counts come from the closed form,
-    cross-checked by enumeration wherever the code was built. Minimality is
-    the first method of METHOD_ROUTES with a verdict (see
-    _survey_minimality); the ratio comes from ab_check, or for an unbuilt
-    code from the zero-count threshold alone. A theorem certificate that
-    meets an enumerated False raises. Verdicts that no route reached are
-    None, with the method columns saying which route produced each verdict.
+    cross-checked by enumeration wherever the code was built. Minimality
+    comes from the first method of METHOD_ROUTES that a built code admits,
+    ending at the theorem certificate of the row's own audit; the ratio
+    from the weight distribution where the code admits it, else from the
+    row's zero count against the threshold. A theorem certificate
+    that meets an enumerated False raises. Verdicts that no route reached
+    are None, with the method columns saying which route produced each.
     """
     cfg = config or Config()
     field = field_from_order(q, modulus)
@@ -675,10 +669,14 @@ def survey_family(
             applies = theorem_hypotheses(f, mode).applies
         except BudgetExceeded:
             applies = None
-        report = _survey_minimality(code, applies, cfg)
+        # the first method the code admits; the theorem one reads the audit above
+        method = next(m for m in METHOD_ROUTES if m == "theorem" or _admits(code, METHOD_ROUTES[m], cfg))
+        theorem = MinimalityReport(True, "theorem") if applies else MinimalityReport(None, "none")
+        report = theorem if method == "theorem" else is_minimal(code, method, cfg)
         if applies and report.minimal is False:
             raise RuntimeError(f"theorem certificate contradicts enumeration at r={f.r}")
-        ab = _ab_verdict(q, None, zero_count, threshold) if code is None else ab_check(code, cfg)
+        weights = weight_distribution(code, cfg) if _admits(code, ("weights",), cfg) else None
+        ab = _ab_verdict(q, weights, zero_count, threshold)
         rows.append(
             {
                 "q": q,

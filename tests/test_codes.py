@@ -30,7 +30,9 @@ from cutcodes import (
     minimal_codewords,
     parse_generator_matrix,
     permute_columns,
+    survey_family,
     weight_distribution,
+    zero_set,
 )
 from helpers import (
     PROJ_Q3_PARAMS,
@@ -308,6 +310,72 @@ def test_ab_check_takes_no_threshold_verdict_when_f_vanishes_on_every_column(pro
     assert (blind.satisfied, blind.method) == (None, "none")
     for rep in (exact, blind):
         assert (rep.zero_count, rep.threshold, rep.threshold_hit) == (code.length, None, None)
+
+
+def test_ab_check_takes_no_threshold_verdict_on_a_raw_code_with_a_function():
+    # the [15,4] simplex code over GF(2): its columns are the 15 nonzero
+    # points of GF(2)^4, so every nonzero weight is 8 and the ratio holds.
+    # Its rows hold no f row, so x1*x2*x3*x4 vanishing on 14 of the points
+    # (past the affine threshold 11) says nothing about its weights
+    field = field_from_order(2)
+    rows = [[(x >> i) & 1 for x in range(1, 16)] for i in range(4)]
+    code = LinearCode(field, rows, mode="raw", ambient_n=4, function=MonomialBlocks(field, 4, 1))
+    exact = ab_check(code)
+    assert (exact.satisfied, exact.method, exact.w_min, exact.w_max) == (True, "distribution", 8, 8)
+    blind = ab_check(code, Config(weight_budget=0))
+    assert (blind.satisfied, blind.method) == (None, "none")
+    for rep in (exact, blind):
+        assert (rep.zero_count, rep.threshold, rep.threshold_hit) == (None, None, None)
+
+
+_SURVEY_FAMILIES = {2: ([2, 3, 4], 2), 3: ([2, 3], 1)}
+
+
+@pytest.mark.parametrize("q", sorted(_SURVEY_FAMILIES))
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_survey_rows_agree_with_is_minimal_and_ab_check(q, mode):
+    r_values, k = _SURVEY_FAMILIES[q]
+    rows = survey_family(q, r_values, k, mode)
+    assert [row["r"] for row in rows] == r_values
+    for row in rows:
+        code = _block_code(q, row["r"], k, projective=mode == "projective")
+        minimality = is_minimal(code, "both")
+        ab = ab_check(code)
+        assert (row["minimal"], row["minimality_method"]) == (minimality.minimal, minimality.method)
+        assert (row["ab_satisfied"], row["ab_method"], row["w_min"], row["w_max"]) == (
+            ab.satisfied, ab.method, ab.w_min, ab.w_max
+        )
+        assert (row["zero_count"], row["threshold"], row["threshold_hit"]) == (
+            ab.zero_count, ab.threshold, ab.threshold_hit
+        )
+        assert row["minimality_method"] == "bruteforce+weightsum" and row["ab_method"] == "distribution"
+
+
+def test_survey_reaches_each_fallback():
+    [row] = survey_family(3, [2], 2, config=Config(pair_budget=2_000_000))
+    assert (row["minimality_method"], row["ab_method"]) == ("bruteforce", "distribution")
+    assert row["minimal"] is is_minimal(_block_code(3, 2, 2), "brute").minimal
+    rows = survey_family(2, [2, 3], 2, "projective", Config(pair_budget=1000, weight_budget=1000))
+    assert [row["minimality_method"] for row in rows] == ["theorem", "theorem"]
+    assert [row["minimal"] for row in rows] == [True, True]
+    # r = 2 still admits the weight distribution: 31 classes x 15 columns = 465 ops
+    assert [(row["ab_method"], row["ab_satisfied"]) for row in rows] == [("distribution", True), ("threshold", False)]
+
+
+def test_survey_enumerates_each_built_zero_set_once(monkeypatch):
+    import cutcodes.codes as codes
+
+    calls = []
+
+    def counted(f, mode):
+        calls.append((f.r, mode))
+        return zero_set(f, mode)
+
+    monkeypatch.setattr(codes, "zero_set", counted)
+    # r = 4 has 255 points, past the cap, so its code is never built
+    rows = survey_family(2, [2, 3, 4], 2, config=Config(point_cap=100))
+    assert [row["dim"] for row in rows] == [5, 7, 9]
+    assert calls == [(2, "affine_star"), (3, "affine_star")]
 
 
 def test_ab_r_threshold_frozen():
