@@ -8,6 +8,11 @@ fold[spread[a] + spread[b]]: spread places digit l at (2p - 1)^l, so the
 sum has no carries, and fold, built one digit at a time, reduces each digit
 mod p. Over a prime field spread is the identity and fold is x mod p on
 0..2p-2.
+
+log and spread are stored in the narrowest unsigned type that holds a sum
+of two of their entries, so a gather writes 1 to 4 bytes per element and
+no sum overflows: two logs add to at most 4(q - 1), exp's last index, and
+two spreads to at most (2p - 1)^m - 1, fold's last index.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ class FieldOps:
         self.p = p = field.p
         self.dtype = np.uint8 if q <= 256 else np.uint16  # Field refuses q > 2^16
         top = 2 * (q - 1)
-        self._log = np.array(field._log, dtype=np.intp)
+        self._log = np.array(field._log, dtype=np.min_scalar_type(2 * top))
         self._log[0] = top
         self._exp = np.zeros(2 * top + 1, dtype=self.dtype)
         self._exp[:top] = field._exp
@@ -43,6 +48,7 @@ class FieldOps:
             self._spread = (self._spread[None, :] + (np.arange(p) * wide**l)[:, None]).ravel()
             digit = (np.arange(wide) % p * p**l).astype(self.dtype)
             self._fold = (self._fold[None, :] + digit[:, None]).ravel()
+        self._spread = self._spread.astype(np.min_scalar_type(wide**field.m - 1))
 
     def asarray(self, values) -> np.ndarray:
         return np.asarray(values, dtype=self.dtype)

@@ -285,7 +285,7 @@ def _class_messages(dim: int, q: int, dtype) -> np.ndarray:
 
 def _multiples(ops: FieldOps, row: np.ndarray, first: int, q: int, cap: int):
     """lam * row for lam = first..q-1: one mul per column of scalars, not one
-    per lam, with the column's 8-byte indices within cap bytes."""
+    per lam, over at most cap / 8 products at a time."""
     step = max(1, cap // (8 * row.size))
     for lo in range(first, q, step):
         yield from ops.mul(np.arange(lo, min(lo + step, q))[:, None], row)
@@ -372,26 +372,28 @@ class MinimalityReport:
 
 
 def _containment_blocks(table: ClassTable):
-    """Yield (i0, hit) over blocks of classes i in canonical order, where
-    hit[b, j] says supp(c_j) lies inside supp(c_i) for i = i0 + b, j != i.
+    """Yield (i, j) index arrays over blocks of classes i in canonical order:
+    every pair with supp(c_j) inside supp(c_i), j != i, in (i, j) order.
 
     A block covers rows x R <= _CONTAIN_WORDS pairs (at least one row). The
-    first support word is compared for every pair, each later word only for
-    the pairs still inside.
+    first support word, one contiguous copy per table, is compared for every
+    pair of the block; the survivors' flat indices give (i, j), and each
+    later word is compared only for the pairs still inside.
     """
     bits = table.bits
     R, words = bits.shape
-    rows = max(1, _CONTAIN_WORDS // max(1, R))
+    if R == 0:  # the zero code's table may be (0, 0)
+        return
+    first = np.ascontiguousarray(bits[:, 0])
+    rows = max(1, _CONTAIN_WORDS // R)
     for i0 in range(0, R, rows):
-        i1 = min(R, i0 + rows)
-        b, j = np.nonzero((bits[None, :, 0] & ~bits[i0:i1, None, 0]) == 0)
+        mask = (first & ~first[i0 : i0 + rows, None]) == 0
+        i, j = np.divmod(np.flatnonzero(mask) + i0 * R, R)
         for w in range(1, words):
-            inside = (bits[j, w] & ~bits[i0 + b, w]) == 0
-            b, j = b[inside], j[inside]
-        hit = np.zeros((i1 - i0, R), dtype=bool)
-        hit[b, j] = True
-        hit[np.arange(i1 - i0), np.arange(i0, i1)] = False
-        yield i0, hit
+            inside = (bits[j, w] & ~bits[i, w]) == 0
+            i, j = i[inside], j[inside]
+        off = i != j
+        yield i[off], j[off]
 
 
 def is_minimal_bruteforce(
@@ -405,11 +407,9 @@ def is_minimal_bruteforce(
     require_budgets(code, ("brute",), config)
     table = _class_table(code)
     R = code.num_classes
-    for i0, hit in _containment_blocks(table):
-        hit_rows = np.nonzero(hit.any(axis=1))[0]
-        if hit_rows.size:
-            i = i0 + int(hit_rows[0])
-            j = int(np.argmax(hit[hit_rows[0]]))
+    for i, j in _containment_blocks(table):
+        if i.size:
+            i, j = int(i[0]), int(j[0])
             witness = {
                 "container_message": table.messages[i].tolist(),
                 "contained_message": table.messages[j].tolist(),
@@ -526,11 +526,10 @@ def minimal_codewords(code: LinearCode, config: Optional[Config] = None) -> list
     """Messages (one per scalar class) of the minimal codewords."""
     require_budgets(code, ("minimal-words",), config)
     table = _class_table(code)
-    return [
-        tuple(table.messages[i0 + b].tolist())
-        for i0, hit in _containment_blocks(table)
-        for b in np.nonzero(~hit.any(axis=1))[0].tolist()
-    ]
+    contains = np.zeros(len(table.weights), dtype=bool)
+    for i, _ in _containment_blocks(table):
+        contains[i] = True
+    return [tuple(m) for m in table.messages[~contains].tolist()]
 
 
 @dataclass

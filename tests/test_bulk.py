@@ -4,11 +4,11 @@ Prime and extension fields run through the same log/antilog and digit-sum
 tables, so every FieldOps method is compared with the Field method it
 vectorises for both kinds: exhaustively, as full column x row tables, for
 small primes and the orders with a built-in modulus, and on samples for
-GF(257) and GF(65521), the primes with uint16 codes, and for orders above
-1024 with an explicit modulus. bulk.echelon, one strategy for every field,
-is checked through its two users: LinearCode's basis rows against the
-greedy one-row-at-a-time selection, and Space.span_basis against the
-literal span.
+GF(257) and GF(65521), the primes with uint16 codes, for orders above 1024
+with an explicit modulus, and for the orders at which a table's type must
+widen. bulk.echelon, one strategy for every field, is checked through its
+two users: LinearCode's basis rows against the greedy one-row-at-a-time
+selection, and Space.span_basis against the literal span.
 """
 
 import numpy as np
@@ -22,6 +22,11 @@ from helpers import LARGE_MODULI, literal_independent_rows, literal_span_dim
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
 SAMPLED_ORDERS = [257, 65521] + sorted(LARGE_MODULI)  # the primes take no modulus
+# log and spread hold the sum of two entries in the narrowest unsigned type:
+# log sums 4(q - 1) of 240 and 264, and 65520 and 65640; spread sums
+# (2p - 1)^m - 1 of 252 and 260, and 78124 at 3^7 (in LARGE_MODULI). The
+# samples hold (0, 0) and (q - 1, q - 1), the operands of the largest sums.
+BOUNDARY_ORDERS = [61, 67, 16381, 16411, 127, 131]
 BINARY = ("add", "sub", "mul")
 SCALAR = ("add_scalar", "mul_scalar")
 SCALAR_OF = {"add_scalar": "add", "mul_scalar": "mul"}
@@ -56,10 +61,13 @@ def test_field_ops_match_field_exhaustively(q):
     assert got.tolist() == [field.neg(a) for a in range(q)]
 
 
-@pytest.mark.parametrize("q", SAMPLED_ORDERS)
+@pytest.mark.parametrize("q", SAMPLED_ORDERS + BOUNDARY_ORDERS)
 def test_field_ops_match_field_on_samples_past_the_old_dense_limit(q):
     field = field_from_order(q, LARGE_MODULI.get(q))
     ops = ops_for(field)
+    for name, value in vars(ops).items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype != np.intp, name
     rng = np.random.RandomState(q)
     # zero operands on both sides, then random pairs
     a = ops.asarray(np.concatenate([[0, 0, 1, q - 1], rng.randint(0, q, 300)]))

@@ -46,6 +46,20 @@ def raw_codes(draw):
     return LinearCode(field_from_order(q), matrix)
 
 
+@st.composite
+def long_codes(draw):
+    """Codes of length 65 to 200, two to four support words, with rows
+    sparse enough at the lower densities for supports to nest."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    rows = draw(st.integers(1, 4))
+    length = draw(st.integers(65, 200))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    matrix = rng.randint(1, q, (rows, length)) * (rng.random_sample((rows, length)) < density)
+    assume(matrix.any())
+    return LinearCode(field_from_order(q), matrix)
+
+
 def _simplex(q, dim):
     """The simplex code: one column per projective point of GF(q)^dim, minimal."""
     space = Space(field_from_order(q), dim)
@@ -102,6 +116,27 @@ def test_bruteforce_matches_literal_oracle(code):
     assert (rep.minimal, rep.witness, rep.pairs_checked) == expected
 
 
+# columns 0..127 cycle through the types (1,0,0), (1,1,1), (1,1,0), (0,0,1) and
+# columns 128..149 are (0,1,0): supp(c_1) lies inside supp(c_0) on words 0
+# and 1 but not on word 2, and the first hit is (3, 1), past the first block
+# of the one- and three-row scans
+_THREE_WORDS = LinearCode(
+    field_from_order(2), np.array([(1, 0, 0), (1, 1, 1), (1, 1, 0), (0, 0, 1)] * 32 + [(0, 1, 0)] * 22).T
+)
+
+
+@given(long_codes())
+@example(_THREE_WORDS)
+def test_multiword_containment_matches_literal_oracle(code):
+    expected = literal_bruteforce(code)
+    words = literal_minimal_words(code)
+    for cap in (codes._CONTAIN_WORDS, 1, 3 * code.num_classes):  # default, 1 and 3 rows per block
+        with mock.patch.object(codes, "_CONTAIN_WORDS", cap):
+            rep = is_minimal_bruteforce(code)
+            assert (rep.minimal, rep.witness, rep.pairs_checked) == expected, cap
+            assert minimal_codewords(code) == words, cap
+
+
 @pytest.mark.parametrize("rows", [np.zeros((2, 3), dtype=int), np.zeros((1, 0), dtype=int)])
 def test_zero_code_has_no_pairs(rows):
     code = LinearCode(field_from_order(2), rows)
@@ -130,6 +165,19 @@ def test_weightsum_memory_stays_near_the_lookup():
     assert rep.minimal is brute.minimal is False
     assert rep.witness == brute.witness
     assert peak < 64 * 2**20
+
+
+def test_class_table_memory_of_a_long_code():
+    # affine (3,6,1): 1,093 classes of length 728; the table build gathers
+    # through narrow FieldOps tables, and intp ones would peak at 3.33 MiB
+    code = build_affine_code(MonomialBlocks(field_from_order(3), 6, 1))
+    tracemalloc.start()
+    try:
+        weight_distribution(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * 2**20
 
 
 def _count_enumerations(monkeypatch):
